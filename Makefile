@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench-json bench-sweep bench-pack \
-	bench-ctx soak failover-soak vuln
+.PHONY: check build vet test race fuzz bench-json bench-sweep bench-ctx \
+	soak failover-soak vuln
 
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
@@ -32,14 +32,6 @@ bench-json:
 # legacy container, and the shards=1 byte-identity check.
 bench-sweep:
 	$(GO) run ./cmd/dbgc-bench -exp sweep -shards 8 -gomaxprocs 1,2,4,8 -json BENCH_7.json
-
-# Block bitpacking ablation: per-stream bytes and pack/unpack timings of
-# the blockpack codec against the legacy entropy coders, plus the
-# v2/v3/v4 container dialect matrix with the size-guard check.
-# PACK_ITERS=1 is the CI smoke scale; raise it for stable timings.
-PACK_ITERS ?= 15
-bench-pack:
-	$(GO) run ./cmd/dbgc-bench -exp pack -frames $(PACK_ITERS) -json BENCH_8.json
 
 # Context-modeling ablation: the occupancy feature sweep, the sparse-section
 # context gain, and the v5 container dialect matrix with the ratio/guard/

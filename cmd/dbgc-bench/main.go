@@ -8,7 +8,7 @@
 //	dbgc-bench -exp fig9 -frames 3 # one experiment, 3 frames per config
 //
 // Experiments: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster,
-// throughput, memory, temporal, perf, sweep, pack, ctx, all.
+// throughput, memory, temporal, perf, sweep, ctx, all.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster, throughput, memory, temporal, perf, sweep, pack, ctx, all")
+	exp := flag.String("exp", "all", "experiment to run: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster, throughput, memory, temporal, perf, sweep, ctx, all")
 	frames := flag.Int("frames", 2, "frames per configuration (the paper uses 1000)")
 	quick := flag.Bool("quick", false, "restrict sweeps to fewer error bounds and scenes")
 	csvDir := flag.String("csv", "", "also write raw rows as CSV files into this directory")
@@ -76,10 +76,9 @@ func main() {
 		"temporal":   runTemporal,
 		"perf":       runPerf,
 		"sweep":      runSweep,
-		"pack":       runPack,
 		"ctx":        runCtx,
 	}
-	order := []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory", "temporal", "perf", "sweep", "pack", "ctx"}
+	order := []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory", "temporal", "perf", "sweep", "ctx"}
 
 	var selected []string
 	if *exp == "all" {
@@ -423,51 +422,6 @@ func runSweep(frames int, quick bool) error {
 	}
 	return writeCSV("sweep", []string{"gomaxprocs", "workers", "compress_ms", "decompress_ms",
 		"compress_speedup", "decompress_speedup", "stream_pack_fps", "stream_unpack_fps"}, csvRows)
-}
-
-func runPack(frames int, quick bool) error {
-	header("Block bitpacking ablation: blockpack vs legacy codecs per integer stream (city, q=2cm)")
-	res, err := benchkit.Pack(benchkit.DefaultQ, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d points, %d iters per timing\n", res.Points, res.Iters)
-	fmt.Printf("%-20s %9s %5s %10s %10s %8s %10s %10s %8s\n",
-		"stream", "count", "segs", "leg bytes", "bp bytes", "Δbytes", "leg dec", "bp dec", "dec spd")
-	var csvRows [][]string
-	for _, s := range res.Streams {
-		fmt.Printf("%-20s %9d %5d %10d %10d %+7.1f%% %8.2fms %8.2fms %7.2fx\n",
-			s.Name, s.Count, s.Segments, s.LegacyBytes, s.PackBytes, s.BytesDeltaPct,
-			s.LegacyDecNs/1e6, s.PackDecNs/1e6, s.DecodeSpeedup)
-		csvRows = append(csvRows, []string{
-			s.Name, fmt.Sprint(s.Count), fmt.Sprint(s.LegacyBytes), fmt.Sprint(s.PackBytes),
-			f64(s.LegacyEncNs), f64(s.PackEncNs), f64(s.LegacyDecNs), f64(s.PackDecNs),
-			f64(s.DecodeSpeedup),
-		})
-	}
-	fmt.Printf("streams total: %d -> %d bytes, decode speedup %.2fx (min %.2fx)\n",
-		res.TotalLegacyBytes, res.TotalPackBytes, res.TotalDecodeSpeedup, res.MinDecodeSpeedup)
-	fmt.Printf("%-26s %8s %8s %8s %10s %12s %8s\n",
-		"container", "version", "shards", "ratio", "bytes", "vs v3", "ok")
-	for _, f := range res.Frames {
-		fmt.Printf("%-26s %8d %8d %8.2f %10d %+11.3f%% %8v\n",
-			f.Config, f.Version, f.Shards, f.Ratio, f.Bytes, f.DeltaVsV3Pct, f.RoundTripOK)
-	}
-	fmt.Printf("v4 no larger than v3 and all round trips ok: %v\n", res.V4WithinV3)
-	if jsonOut != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return writeCSV("pack", []string{"stream", "count", "legacy_bytes", "blockpack_bytes",
-		"legacy_encode_ns", "blockpack_encode_ns", "legacy_decode_ns", "blockpack_decode_ns",
-		"decode_speedup"}, csvRows)
 }
 
 func runCtx(frames int, quick bool) error {

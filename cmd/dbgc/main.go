@@ -58,11 +58,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx] [-parallel] input.bin output.dbgc
+  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-ctx] [-parallel] input.bin output.dbgc
   dbgc decompress [-parallel] input.dbgc output.bin
   dbgc info       input.dbgc
   dbgc simulate   [-scene kind] [-seed n] output.bin
-  dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frames... output.dbgs
+  dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-ctx] frames... output.dbgs
   dbgc unpack     input.dbgs output-dir
   dbgc view       [-extent m] [-size WxH] frame.bin|frame.ply|frame.dbgc
   dbgc query      -box x0,y0,z0,x1,y1,z1 frame.dbgc output.bin`)
@@ -75,8 +75,6 @@ func runCompress(args []string) error {
 	groups := fs.Int("groups", 6, "radial point groups")
 	exact := fs.Bool("exact", false, "use exact cell-based clustering")
 	shards := fs.Int("shards", 1, "entropy shard count (>1 writes the v3 container)")
-	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks the frame (v4 container, size-guarded)")
-	blockpackForce := fs.Bool("blockpack-force", false, "always write the v4 container, skipping the blockpack size guard")
 	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5 container, size-guarded)")
 	parallel := fs.Bool("parallel", false, "compress stages and shards concurrently")
 	fs.Parse(args)
@@ -91,8 +89,6 @@ func runCompress(args []string) error {
 	opts.Groups = *groups
 	opts.ExactClustering = *exact
 	opts.Shards = *shards
-	opts.BlockPack = *blockpack
-	opts.BlockPackForce = *blockpackForce
 	opts.ContextModel = *ctx
 	opts.Parallel = *parallel
 	data, stats, err := dbgc.Compress(pc, opts)

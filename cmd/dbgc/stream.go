@@ -23,11 +23,10 @@ func runPack(args []string) error {
 	withIntensity := fs.Bool("intensity", false, "carry the intensity channel")
 	workers := fs.Int("workers", 1, "compress this many frames concurrently")
 	shards := fs.Int("shards", 1, "entropy shard count per frame (>1 writes v3 frames)")
-	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks each frame (v4, size-guarded)")
 	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5, size-guarded)")
 	fs.Parse(args)
 	if fs.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-workers n] [-shards n] [-blockpack] [-ctx] frame1.bin [frame2.bin ...] output.dbgs")
+		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-workers n] [-shards n] [-ctx] frame1.bin [frame2.bin ...] output.dbgs")
 		os.Exit(2)
 	}
 	inputs := fs.Args()[:fs.NArg()-1]
@@ -66,7 +65,6 @@ func runPack(args []string) error {
 	}
 	packOpts := dbgc.DefaultOptions(*q)
 	packOpts.Shards = *shards
-	packOpts.BlockPack = *blockpack
 	packOpts.ContextModel = *ctx
 	w, err := stream.NewWriter(out, packOpts, *fps)
 	if err != nil {

@@ -33,15 +33,14 @@ type CtxFeature struct {
 }
 
 // CtxFrame is one whole-frame container configuration of the v5 dialect
-// matrix: each base dialect (plain, sharded, blockpack) with and without the
-// context model, with sizes, ratio, round-trip times, and the v5 invariants
+// matrix: each base dialect (plain, sharded) with and without the context
+// model, with sizes, ratio, round-trip times, and the v5 invariants
 // (parallel byte identity, guard bound, decode equivalence).
 type CtxFrame struct {
-	Config    string `json:"config"`
-	Version   int    `json:"emitted_version"`
-	Shards    int    `json:"shards"`
-	BlockPack bool   `json:"blockpack"`
-	Context   bool   `json:"context"`
+	Config  string `json:"config"`
+	Version int    `json:"emitted_version"`
+	Shards  int    `json:"shards"`
+	Context bool   `json:"context"`
 
 	Bytes        int     `json:"bytes"`
 	Ratio        float64 `json:"ratio"`
@@ -192,15 +191,14 @@ func Ctx(q float64, iters int) (CtxResult, error) {
 
 	res.GuardOK = true
 	res.UnpackWithin15Pct = true
-	base := map[string]CtxFrame{}
+	base := map[int]CtxFrame{}
 	for i := range frames {
 		f := &frames[i]
-		key := fmt.Sprintf("s%d-bp%v", f.Shards, f.BlockPack)
 		if !f.Context {
-			base[key] = *f
+			base[f.Shards] = *f
 			continue
 		}
-		b, ok := base[key]
+		b, ok := base[f.Shards]
 		if !ok {
 			continue
 		}
@@ -222,7 +220,7 @@ func Ctx(q float64, iters int) (CtxResult, error) {
 		if !f.RoundTripOK || !f.ParallelIdentical {
 			res.GuardOK = false
 		}
-		if f.Shards == 0 && !f.BlockPack {
+		if f.Shards == 0 {
 			res.CtxRatio = f.Ratio
 		}
 	}
@@ -250,28 +248,28 @@ func ctxStreamWorkers() int {
 
 // ctxFrames sizes and times the v5 dialect matrix on the frame.
 func ctxFrames(pc geom.PointCloud, q float64, iters int) ([]CtxFrame, error) {
-	want, err := core.Decompress(mustCompress(pc, q, 1, false))
+	plain, _, err := core.Compress(pc, core.DefaultOptions(q))
+	if err != nil {
+		return nil, err
+	}
+	want, err := core.Decompress(plain)
 	if err != nil {
 		return nil, err
 	}
 	configs := []struct {
-		name      string
-		shards    int
-		blockpack bool
-		context   bool
+		name    string
+		shards  int
+		context bool
 	}{
-		{"v2 (plain)", 0, false, false},
-		{"v5 (ctx)", 0, false, true},
-		{"v3 (sharded)", 8, false, false},
-		{"v5 (ctx, sharded)", 8, false, true},
-		{"v4 (blockpack, guarded, sharded)", 8, true, false},
-		{"v5 (ctx, blockpack, guarded, sharded)", 8, true, true},
+		{"v2 (plain)", 0, false},
+		{"v5 (ctx)", 0, true},
+		{"v3 (sharded)", 8, false},
+		{"v5 (ctx, sharded)", 8, true},
 	}
 	frames := make([]CtxFrame, 0, len(configs))
 	for _, cfg := range configs {
 		opts := core.DefaultOptions(q)
 		opts.Shards = cfg.shards
-		opts.BlockPack = cfg.blockpack
 		opts.ContextModel = cfg.context
 		// Single-iteration minima: on a loaded (or single-core) host the
 		// mean smears scheduler noise over every configuration, the minimum
@@ -312,8 +310,8 @@ func ctxFrames(pc geom.PointCloud, q float64, iters int) ([]CtxFrame, error) {
 		}
 		f := CtxFrame{
 			Config: cfg.name, Version: int(data[4]), Shards: cfg.shards,
-			BlockPack: cfg.blockpack, Context: cfg.context,
-			Bytes: len(data), Ratio: Ratio(len(pc), len(data)),
+			Context: cfg.context,
+			Bytes:   len(data), Ratio: Ratio(len(pc), len(data)),
 			CompressMs: compressMs, DecompressMs: decompressMs,
 			ParallelIdentical: bytes.Equal(data, pdata),
 			RoundTripOK:       cloudsMatch(want, got),
@@ -337,4 +335,24 @@ func ctxFrames(pc geom.PointCloud, q float64, iters int) ([]CtxFrame, error) {
 		frames = append(frames, f)
 	}
 	return frames, nil
+}
+
+func subCloud(pc geom.PointCloud, idx []int32) geom.PointCloud {
+	out := make(geom.PointCloud, len(idx))
+	for i, j := range idx {
+		out[i] = pc[j]
+	}
+	return out
+}
+
+func cloudsMatch(a, b geom.PointCloud) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -26,6 +26,12 @@
 // Sharded variants reuse the container v3 shard framing of internal/arith,
 // so blockpacked streams keep the shard-parallel decode and the
 // DecodeLimits validation story of the entropy-coded streams they replace.
+//
+// The DBGC encoder no longer emits blockpacked streams: container v4 and the
+// v5 blockpack dialect bit are read-only legacy dialects (DESIGN.md §13).
+// The Unpack functions decode stored frames; the Pack functions remain as
+// the reference the package's round-trip tests and FuzzBlockPack check
+// Unpack against.
 package blockpack
 
 import (

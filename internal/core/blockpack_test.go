@@ -1,50 +1,44 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"dbgc/internal/geom"
-	"dbgc/internal/lidar"
 )
 
-// TestBlockPackRoundTrip is the v4 dialect contract: for every shard count,
-// parallel and serial blockpacked encodes produce the same bytes, the
-// container carries version 4, and serial and parallel decodes reproduce
-// the legacy decode exactly.
+// The encoder no longer writes blockpacked frames (container v4 and the v5
+// blockpack bit); these tests pin the legacy reader against the golden
+// frames an earlier encoder froze in testdata/golden.
+
+// goldenLegacy decodes the golden v2 frame, which holds the same input as
+// every other golden frame: all dialects must decode to exactly its points.
+func goldenLegacy(t *testing.T) geom.PointCloud {
+	t.Helper()
+	_, data := golden(t, "v2.dbgc")
+	pc, err := Decompress(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
+
+// TestBlockPackRoundTrip is the v4 dialect contract: for every shard count
+// the golden blockpacked frame carries version 4, and serial and parallel
+// decodes reproduce the legacy decode exactly.
 func TestBlockPackRoundTrip(t *testing.T) {
-	pc := frame(t, lidar.City)
-	legacyData, _, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Decompress(legacyData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			opts := DefaultOptions(0.02)
-			opts.Shards = shards
-			opts.BlockPackForce = true
-			serial, _, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Parallel = true
-			parallel, _, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Fatal("parallel blockpacked encode differs from serial")
-			}
-			if serial[len(magic)] != version4 {
-				t.Fatalf("blockpacked container has version %d, want %d", serial[len(magic)], version4)
+	want := goldenLegacy(t)
+	for _, tc := range []struct {
+		shards int
+		file   string
+	}{{1, "v4.dbgc"}, {4, "v4-sharded.dbgc"}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			_, data := golden(t, tc.file)
+			if data[len(magic)] != version4 {
+				t.Fatalf("blockpacked container has version %d, want %d", data[len(magic)], version4)
 			}
 			for _, par := range []bool{false, true} {
-				got, err := DecompressWith(serial, DecompressOptions{Parallel: par})
+				got, err := DecompressWith(data, DecompressOptions{Parallel: par})
 				if err != nil {
 					t.Fatalf("decode (parallel=%v): %v", par, err)
 				}
@@ -56,81 +50,10 @@ func TestBlockPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockPackOffByteIdentical pins the compatibility contract of the
-// default: BlockPack=false output is byte-identical to the v2 (unsharded)
-// and v3 (sharded) containers of previous releases.
-func TestBlockPackOffByteIdentical(t *testing.T) {
-	pc := frame(t, lidar.Campus)
-	for _, shards := range []int{1, 4} {
-		opts := DefaultOptions(0.02)
-		opts.Shards = shards
-		ref, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.BlockPack = false
-		off, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ref, off) {
-			t.Fatalf("shards=%d: BlockPack=false changed the container bytes", shards)
-		}
-	}
-}
-
-// TestBlockPackSizeGuard pins the guard contract: on a frame where the
-// adaptive coders beat blockpack (LiDAR streams are heavily skewed, so
-// real frames do), guarded BlockPack output is byte-identical to the plain
-// container, while BlockPackForce always emits v4.
-func TestBlockPackSizeGuard(t *testing.T) {
-	pc := frame(t, lidar.City)
-	for _, shards := range []int{1, 4} {
-		opts := DefaultOptions(0.02)
-		opts.Shards = shards
-		plain, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.BlockPack = true
-		guarded, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.BlockPackForce = true
-		forced, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if forced[len(magic)] != version4 {
-			t.Fatalf("shards=%d: forced container has version %d, want %d",
-				shards, forced[len(magic)], version4)
-		}
-		if len(forced) < len(plain) {
-			// Blockpack won outright; the guard must have kept it.
-			if !bytes.Equal(guarded, forced) {
-				t.Fatalf("shards=%d: guard dropped a smaller v4 container", shards)
-			}
-			continue
-		}
-		if !bytes.Equal(guarded, plain) {
-			t.Fatalf("shards=%d: guard kept a v4 container that is not smaller (guarded %d, plain %d, forced %d bytes)",
-				shards, len(guarded), len(plain), len(forced))
-		}
-	}
-}
-
 // TestBlockPackWithLimits decodes a v4 frame under the production decode
 // limits; real frames must pass and tiny budgets must fail cleanly.
 func TestBlockPackWithLimits(t *testing.T) {
-	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
-	opts.BlockPackForce = true
-	opts.Shards = 4
-	data, _, err := Compress(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := golden(t, "v4-sharded.dbgc")
 	if _, err := DecompressWith(data, DecompressOptions{Limits: DefaultDecodeLimits()}); err != nil {
 		t.Fatalf("default limits rejected a real v4 frame: %v", err)
 	}
@@ -143,17 +66,8 @@ func TestBlockPackWithLimits(t *testing.T) {
 // TestBlockPackRegion checks that the region query path handles the v4
 // dialect: the blockpacked frame yields the same region points as legacy.
 func TestBlockPackRegion(t *testing.T) {
-	pc := frame(t, lidar.City)
-	legacy, _, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(0.02)
-	opts.BlockPackForce = true
-	packed, _, err := Compress(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, legacy := golden(t, "v2.dbgc")
+	_, packed := golden(t, "v4.dbgc")
 	region := geom.AABB{Min: geom.Point{X: -20, Y: -20, Z: -5}, Max: geom.Point{X: 20, Y: 20, Z: 5}}
 	want, err := DecompressRegion(legacy, region)
 	if err != nil {
@@ -162,6 +76,9 @@ func TestBlockPackRegion(t *testing.T) {
 	got, err := DecompressRegion(packed, region)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("region box holds no points")
 	}
 	if !cloudsEqual(want, got) {
 		t.Fatalf("v4 region decode returned %d points, legacy %d (or differing points)", len(got), len(want))
@@ -172,21 +89,19 @@ func TestBlockPackRegion(t *testing.T) {
 // and checks that the group-CRC salvage of the v3 dialect still works: the
 // other groups and sections survive.
 func TestBlockPackPartialSalvage(t *testing.T) {
-	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
-	opts.BlockPackForce = true
-	data, _, err := Compress(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := golden(t, "v4.dbgc")
 	intact, _, err := DecompressPartial(data, DecompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte deep inside the sparse section (the middle of the frame).
-	mut := append([]byte(nil), data...)
-	mut[len(mut)/2] ^= 0xff
-	got, reports, err := DecompressPartial(mut, DecompressOptions{})
+	c, err := parseContainer(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte in the middle of the sparse section (it aliases data).
+	sp := c.sec[SectionSparse].payload
+	sp[len(sp)/2] ^= 0xff
+	got, reports, err := DecompressPartial(data, DecompressOptions{})
 	if err != nil {
 		t.Fatalf("partial decode of damaged v4 frame: %v", err)
 	}
@@ -196,13 +111,10 @@ func TestBlockPackPartialSalvage(t *testing.T) {
 	if len(got) >= len(intact) {
 		t.Fatalf("salvaged %d points from a damaged frame, intact frame has %d", len(got), len(intact))
 	}
-	damaged := false
-	for _, r := range reports {
-		if r.Err != nil {
-			damaged = true
-		}
+	if reports[SectionSparse].Err == nil {
+		t.Fatal("sparse section damage not reported")
 	}
-	if !damaged {
-		t.Fatal("no section reported the damage")
+	if reports[SectionSparse].Points == 0 {
+		t.Fatal("group salvage recovered no sparse points")
 	}
 }

@@ -83,41 +83,19 @@ type Options struct {
 	// occupancy/count levels, sparse φ tails and radials, outlier
 	// quadtree/Δz payloads) into this many independently coded shards —
 	// the unit of multi-core entropy parallelism — and emits the container
-	// v3 dialect. Values <= 1 keep the legacy single-coder v2 container,
+	// v3 dialect. Values <= 1 keep the single-coder v2 container,
 	// byte-identical to previous releases. The output depends only on the
 	// input and the shard count, never on Parallel or GOMAXPROCS.
 	Shards int
-	// BlockPack codes the integer hot paths — octree leaf counts, sparse
-	// polyline lengths and θ/φ/r deltas, outlier quadtree counts and Δz —
-	// with the blockpack codec (FastPFOR-style 128-value blocks, patched
-	// exceptions) instead of adaptive arithmetic coding and varint+DEFLATE,
-	// and emits the container v4 dialect. Arithmetic-coded occupancy and
-	// reference-symbol streams are unaffected. Off keeps v2/v3 bytes
-	// unchanged; on composes with Shards (blockpacked streams reuse the
-	// shard framing, so sharded parallel decode still applies).
-	//
-	// BlockPack is guarded by a whole-frame size comparison: the encoder
-	// also builds the plain v2/v3 container and emits whichever is
-	// smaller, so enabling it never grows a frame. On heavily skewed
-	// streams the adaptive coders win and the frame stays v2/v3; on
-	// flatter distributions the packed v4 container wins and decodes
-	// several times faster. The guard roughly doubles encode work; see
-	// BlockPackForce to skip it.
-	BlockPack bool
-	// BlockPackForce emits the v4 container unconditionally, skipping the
-	// BlockPack size guard (and its second encode pass). Intended for
-	// format tooling, tests, and callers that prefer decode throughput
-	// over ratio regardless of the frame. Implies BlockPack.
-	BlockPackForce bool
 	// ContextModel codes the octree occupancy stream and the sparse angular
 	// streams with the table-driven context models of internal/ctxmodel
 	// (parent occupancy, octant reflection, magnitude buckets; see DESIGN.md
 	// §15) and emits the container v5 dialect. Every context-modeled stream
 	// is size-guarded per stream: the encoder also builds the stream's
-	// v2/v3/v4 coding and keeps whichever is smaller, so enabling it costs
-	// at most a few marker bytes per frame and typically saves 3-4%.
-	// Composes with Shards (context state resets per shard; parallel encode
-	// stays byte-identical to serial) and with BlockPack.
+	// v2/v3 coding and keeps whichever is smaller, so enabling it costs at
+	// most a few marker bytes per frame and typically saves 3-4%. Composes
+	// with Shards (context state resets per shard; parallel encode stays
+	// byte-identical to serial).
 	ContextModel bool
 }
 
@@ -184,26 +162,25 @@ const (
 	version3 = 3
 	// version4 keeps the v3 envelope and framing but codes the integer hot
 	// paths (leaf counts, polyline lengths, θ/φ/r deltas, Δz) with the
-	// blockpack codec of internal/blockpack. Emitted when Options.BlockPack
-	// is set and the packed container wins the size guard (or when
-	// BlockPackForce skips the guard). All four versions decode.
+	// blockpack codec of internal/blockpack. A read-only legacy dialect:
+	// the encoder no longer emits it (DESIGN.md §13), but all four
+	// versions decode.
 	version4 = 4
 	// version5 keeps the envelope but follows the version byte with a
 	// dialect byte: v1-v4 infer the entropy dialect from the version number
-	// alone, while v5's context modeling composes with sharding and
-	// blockpacking, so the combination must be spelled out. Emitted when
-	// Options.ContextModel is set. All five versions decode.
+	// alone, while v5's context modeling composes with sharding, so the
+	// combination must be spelled out. Emitted when Options.ContextModel is
+	// set. All five versions decode, including the legacy blockpack bit.
 	version5 = 5
 	// version is what Compress emits for unsharded options (Shards <= 1);
-	// sharded compression emits version3, blockpacked version4,
-	// context-modeled version5.
+	// sharded compression emits version3, context-modeled version5.
 	version = version2
 )
 
 // Dialect bits of the v5 container's dialect byte.
 const (
 	dialectSharded   = 1 << 0 // v3 sharded entropy framing
-	dialectBlockPack = 1 << 1 // v4 blockpacked integer hot paths
+	dialectBlockPack = 1 << 1 // v4 blockpacked integer hot paths (read only)
 	dialectContext   = 1 << 2 // context-modeled occupancy/angular streams
 )
 
@@ -237,38 +214,6 @@ func NewEncoder(opts Options) *Encoder { return &Encoder{Opts: opts} }
 // caller-owned.
 func (e *Encoder) Compress(pc geom.PointCloud) ([]byte, *Stats, error) {
 	opts := e.Opts
-	if opts.BlockPackForce {
-		opts.BlockPack = true
-	}
-	if opts.BlockPack && !opts.BlockPackForce {
-		// Size guard: blockpack trades ratio for decode speed, and on
-		// heavily skewed streams the adaptive coders win. Encode both
-		// dialects and keep the smaller container; ties go to the plain
-		// dialect so guarded output degenerates to exactly v2/v3 bytes.
-		packed, _, err := e.compressOnce(pc, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		packedStats := e.stats
-		plainOpts := opts
-		plainOpts.BlockPack = false
-		plain, stats, err := e.compressOnce(pc, plainOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(packed) < len(plain) {
-			// The mapping is dialect-independent, and the second pass
-			// rebuilt the identical content in e.mapping, so the saved
-			// stats still alias valid scratch.
-			e.stats = packedStats
-			return packed, &e.stats, nil
-		}
-		return plain, stats, nil
-	}
-	return e.compressOnce(pc, opts)
-}
-
-func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats, error) {
 	if opts.Q <= 0 {
 		return nil, nil, fmt.Errorf("core: error bound must be positive, got %v", opts.Q)
 	}
@@ -305,7 +250,7 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	denseDone := make(chan struct{})
 	encodeDense := func() {
 		t := time.Now()
-		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, Context: opts.ContextModel})
 		stats.OCT = time.Since(t)
 		stats.ENT = denseEnc.EntropyTime
 		close(denseDone)
@@ -327,7 +272,6 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 		CartesianMode:    opts.CartesianPolylines,
 		Parallel:         opts.Parallel,
 		Shards:           opts.Shards,
-		BlockPack:        opts.BlockPack,
 		Context:          opts.ContextModel,
 	})
 	<-denseDone
@@ -358,15 +302,12 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	stats.OUT = time.Since(t0)
 
 	// Final layout (Figure 8). Sharded entropy streams need the v3
-	// container, blockpacked streams the v4, so decoders select the right
-	// dialect per section. Context-modeled streams need the v5 container,
-	// whose dialect byte spells out the full combination.
+	// container, so decoders select the right dialect per section.
+	// Context-modeled streams need the v5 container, whose dialect byte
+	// spells out the full combination.
 	ver := byte(version)
 	if opts.Shards > 1 {
 		ver = version3
-	}
-	if opts.BlockPack {
-		ver = version4
 	}
 	var dialect byte
 	if opts.ContextModel {
@@ -374,9 +315,6 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 		dialect = dialectContext
 		if opts.Shards > 1 {
 			dialect |= dialectSharded
-		}
-		if opts.BlockPack {
-			dialect |= dialectBlockPack
 		}
 	}
 	out := make([]byte, 0, len(denseEnc.Data)+len(sparseEnc.Data)+len(outlierData)+64)
@@ -492,8 +430,8 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseId
 }
 
 // SplitPoints classifies pc into dense and sparse index sets exactly as
-// Compress does under opts. It exists for the benchkit pack ablation, which
-// replays the codec choice on the real per-stream data of a frame.
+// Compress does under opts. It exists for the benchkit context ablation,
+// which replays the codec choice on the real per-stream data of a frame.
 func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
 	var e Encoder
 	d, s := e.splitPoints(pc, opts)
@@ -503,13 +441,13 @@ func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
 func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	switch opts.OutlierMode {
 	case OutlierQuadtree:
-		enc, err := outlier.EncodeWith(pts, opts.Q, outlier.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
+		enc, err := outlier.EncodeWith(pts, opts.Q, outlier.EncodeOptions{Shards: opts.Shards, Parallel: opts.Parallel})
 		if err != nil {
 			return nil, nil, err
 		}
 		return enc.Data, enc.DecodedOrder, nil
 	case OutlierOctree:
-		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, Context: opts.ContextModel})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -14,7 +14,8 @@ import (
 // of the plain frame, serial and parallel encodes are byte-identical, the
 // container carries version 5 with the right dialect byte, and the
 // per-stream size guard keeps the frame from ever growing past the marker
-// overhead.
+// overhead. The encoder no longer writes blockpacked frames, so those rows
+// check the golden frames an earlier encoder froze.
 func TestContextModelEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
 	plainData, _, err := Compress(pc, DefaultOptions(0.02))
@@ -25,15 +26,10 @@ func TestContextModelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		shards    int
-		blockpack bool
-	}{{0, false}, {4, false}, {0, true}, {4, true}} {
-		t.Run(fmt.Sprintf("shards=%d/blockpack=%v", cfg.shards, cfg.blockpack), func(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d/blockpack=false", shards), func(t *testing.T) {
 			opts := DefaultOptions(0.02)
-			opts.Shards = cfg.shards
-			opts.BlockPack = cfg.blockpack
-			opts.BlockPackForce = cfg.blockpack // pin the dialect under test
+			opts.Shards = shards
 			plain, _, err := Compress(pc, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -51,45 +47,63 @@ func TestContextModelEquivalence(t *testing.T) {
 			if !bytes.Equal(serial, parallel) {
 				t.Fatal("parallel context encode differs from serial")
 			}
-			if serial[len(magic)] != version5 {
-				t.Fatalf("context container has version %d, want %d", serial[len(magic)], version5)
-			}
-			wantDialect := byte(dialectContext)
-			if cfg.shards > 1 {
-				wantDialect |= dialectSharded
-			}
-			if cfg.blockpack {
-				wantDialect |= dialectBlockPack
-			}
-			if serial[len(magic)+1] != wantDialect {
-				t.Fatalf("dialect byte %#x, want %#x", serial[len(magic)+1], wantDialect)
-			}
-			// The guard bound: the v5 frame carries one dialect byte plus at
-			// most one method marker per guarded stream over its base dialect.
-			if len(serial) > len(plain)+16 {
-				t.Fatalf("context frame %dB exceeds plain %dB + markers", len(serial), len(plain))
-			}
 			t.Logf("frame bytes: plain %d, ctx %d (ratio %.2f)", len(plain), len(serial), stats.CompressionRatio())
 			if len(stats.Mapping) != len(pc) {
 				t.Fatalf("mapping has %d entries, want %d", len(stats.Mapping), len(pc))
 			}
-			for _, par := range []bool{false, true} {
-				got, err := DecompressWith(serial, DecompressOptions{Parallel: par})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", par, err)
-				}
-				if !cloudsEqual(want, got) {
-					t.Fatalf("decode (parallel=%v) differs from legacy decode", par)
-				}
-			}
-			lay, err := Inspect(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !lay.ContextModeled || lay.ShardedStreams != (cfg.shards > 1) || lay.BlockPacked != cfg.blockpack {
-				t.Fatalf("Inspect reports ctx=%v sharded=%v blockpack=%v", lay.ContextModeled, lay.ShardedStreams, lay.BlockPacked)
-			}
+			checkContextFrame(t, serial, plain, want, shards > 1, false)
 		})
+	}
+	legacy := goldenLegacy(t)
+	for _, tc := range []struct {
+		shards      int
+		plain, file string
+	}{{0, "v4.dbgc", "v5-ctx-blockpack.dbgc"}, {4, "v4-sharded.dbgc", "v5-ctx-sharded-blockpack.dbgc"}} {
+		t.Run(fmt.Sprintf("shards=%d/blockpack=true", tc.shards), func(t *testing.T) {
+			_, plain := golden(t, tc.plain)
+			_, data := golden(t, tc.file)
+			checkContextFrame(t, data, plain, legacy, tc.shards > 1, true)
+		})
+	}
+}
+
+// checkContextFrame checks one v5 frame against its base-dialect frame
+// plain and the points want that both must decode to.
+func checkContextFrame(t *testing.T, data, plain []byte, want geom.PointCloud, sharded, blockpack bool) {
+	t.Helper()
+	if data[len(magic)] != version5 {
+		t.Fatalf("context container has version %d, want %d", data[len(magic)], version5)
+	}
+	wantDialect := byte(dialectContext)
+	if sharded {
+		wantDialect |= dialectSharded
+	}
+	if blockpack {
+		wantDialect |= dialectBlockPack
+	}
+	if data[len(magic)+1] != wantDialect {
+		t.Fatalf("dialect byte %#x, want %#x", data[len(magic)+1], wantDialect)
+	}
+	// The guard bound: the v5 frame carries one dialect byte plus at most
+	// one method marker per guarded stream over its base dialect.
+	if len(data) > len(plain)+16 {
+		t.Fatalf("context frame %dB exceeds plain %dB + markers", len(data), len(plain))
+	}
+	for _, par := range []bool{false, true} {
+		got, err := DecompressWith(data, DecompressOptions{Parallel: par})
+		if err != nil {
+			t.Fatalf("decode (parallel=%v): %v", par, err)
+		}
+		if !cloudsEqual(want, got) {
+			t.Fatalf("decode (parallel=%v) differs from legacy decode", par)
+		}
+	}
+	lay, err := Inspect(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lay.ContextModeled || lay.ShardedStreams != sharded || lay.BlockPacked != blockpack {
+		t.Fatalf("Inspect reports ctx=%v sharded=%v blockpack=%v", lay.ContextModeled, lay.ShardedStreams, lay.BlockPacked)
 	}
 }
 

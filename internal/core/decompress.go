@@ -79,8 +79,9 @@ type SectionReport struct {
 	// the section is damaged beyond salvage).
 	Points int
 	// Err is nil for an intact section; otherwise it explains the damage
-	// (CRC mismatch or decode failure). On v3 sparse sections Err and a
-	// nonzero Points can coexist: the per-group CRCs let the decoder skip
+	// (CRC mismatch or decode failure). On sharded (v3, v5 with the sharded
+	// bit) and legacy blockpacked sparse sections Err and a nonzero Points
+	// can coexist: the per-group CRCs let the decoder skip
 	// only the condemned radial groups and keep the rest.
 	Err error
 	// Raw is the section's compressed payload, aliasing the input frame.
@@ -128,8 +129,9 @@ func (c container) flags() (sharded, blockpacked, ctx bool) {
 // declared section lengths against b. It reads all container versions:
 // v1 frames section payloads with a bare length, v2 adds a CRC32-C per
 // section (length uvarint, CRC fixed32 LE, payload), v3 keeps the v2
-// envelope while the section payloads use the sharded entropy dialect, and
-// v4 additionally codes the integer hot paths with blockpack.
+// envelope while the section payloads use the sharded entropy dialect, v4
+// additionally codes the integer hot paths with blockpack (a legacy dialect
+// the encoder no longer emits), and v5 spells its dialect out in a byte.
 func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 	var c container
 	if len(data) < len(magic)+1 {
@@ -230,10 +232,11 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 // DecompressPartial decodes every intact section of a frame and skips
 // damaged ones, returning the partial cloud (sections in container order)
 // and a report per section. Damage is detected by section CRC on v2+
-// frames and by decode failure on all versions. On v3 frames the sparse
-// section additionally salvages at radial-group granularity: groups whose
-// own CRC-32C checks out decode even when the section as a whole is
-// damaged. The error is non-nil only when the frame envelope itself cannot
+// frames and by decode failure on all versions. On sharded and legacy
+// blockpacked frames the sparse section additionally salvages at
+// radial-group granularity: groups whose own CRC-32C checks out decode even
+// when the section as a whole is damaged. Other frames carry no group CRCs,
+// so a sparse section that fails its CRC yields no points. The error is non-nil only when the frame envelope itself cannot
 // be parsed — then nothing is recoverable.
 func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []SectionReport, error) {
 	b := newBudget(opts.Limits)
@@ -241,6 +244,8 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 	if err != nil {
 		return nil, nil, err
 	}
+	sharded, blockpacked, _ := c.flags()
+	groupCRCs := sharded || blockpacked
 	reports := make([]SectionReport, numSections)
 	for id := range c.sec {
 		reports[id] = SectionReport{
@@ -250,12 +255,13 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 		}
 		if err := c.sec[id].verify(SectionID(id)); err != nil {
 			reports[id].Err = err
-			// v3 sparse sections carry a CRC per radial group, so a damaged
-			// section can still yield its intact groups — keep the payload
-			// and let the salvaging decoder condemn groups individually.
-			// Everything else: don't hand known-bad bytes to the decoder;
+			// Sharded and blockpacked sparse sections carry a CRC per radial
+			// group, so a damaged section can still yield its intact groups
+			// — keep the payload and let the salvaging decoder condemn
+			// groups individually. Everything else, including unsharded v5
+			// context frames: don't hand known-bad bytes to the decoder;
 			// empty the payload so decodeSections fails it at the header.
-			if SectionID(id) == SectionSparse && c.version >= version3 {
+			if SectionID(id) == SectionSparse && groupCRCs {
 				continue
 			}
 			c.sec[id].payload = nil

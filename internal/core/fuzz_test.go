@@ -9,6 +9,8 @@ import (
 // FuzzDecompress drives the whole decode stack with mutated streams. Run
 // with `go test -fuzz=FuzzDecompress ./internal/core/`; in normal test mode
 // the seed corpus exercises the happy path plus classic corruptions. The
+// legacy v4 seeds, which the encoder can no longer produce, live in
+// testdata/fuzz/FuzzDecompress. The
 // invariant: Decompress never panics and never returns both nil error and a
 // malformed cloud.
 func FuzzDecompress(f *testing.F) {
@@ -26,9 +28,9 @@ func FuzzDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	popts := DefaultOptions(0.02)
-	popts.BlockPackForce = true
-	v4, _, err := Compress(pc, popts)
+	xopts := DefaultOptions(0.02)
+	xopts.ContextModel = true
+	v5ctx, _, err := Compress(pc, xopts)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(v3)
-	f.Add(v4)
+	f.Add(v5ctx)
 	f.Add(v5)
 	f.Add(v5[:len(v5)/2])
 	f.Add([]byte("DBGC\x01garbage"))
@@ -61,11 +63,13 @@ func FuzzDecompress(f *testing.F) {
 		mut3[20] ^= 0xff
 	}
 	f.Add(mut3)
-	mut4 := append([]byte(nil), v4...)
-	if len(mut4) > 30 {
-		mut4[30] ^= 0xff
+	// An unsharded v5 frame has no group CRCs: damage must not reach the
+	// sparse decoder through the partial path.
+	mutCtx := append([]byte(nil), v5ctx...)
+	if len(mutCtx) > 30 {
+		mutCtx[30] ^= 0xff
 	}
-	f.Add(mut4)
+	f.Add(mutCtx)
 	// v5 mutants: flip the dialect byte and garble the context-table header
 	// region at the head of the dense section.
 	mut5 := append([]byte(nil), v5...)

@@ -65,59 +65,103 @@ func TestDecodeLimitsEnforced(t *testing.T) {
 	}
 }
 
-// TestDecompressPartialRecoversIntactSections corrupts one section of a v2
-// frame and checks that DecompressPartial returns the other two sections
-// byte-identically to a full decode of the pristine frame while reporting
-// the damaged one.
+// TestDecompressPartialRecoversIntactSections corrupts the sparse section
+// of a frame and checks that DecompressPartial returns the other two
+// sections byte-identically to a full decode of the pristine frame while
+// reporting the damaged one. The v5 frame without the sharded bit has no
+// per-group CRCs, so a CRC-failed sparse section must never reach the
+// decoder: some of the swept bit flips still decode, to wrong points.
 func TestDecompressPartialRecoversIntactSections(t *testing.T) {
 	pc := frame(t, lidar.City)
-	data, stats, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
+	ctxOpts := DefaultOptions(0.02)
+	ctxOpts.ContextModel = true
+	for _, tc := range []struct {
+		name string
+		opts Options
+		// sweep adds this many evenly spaced single-bit flips to the
+		// flipped middle byte.
+		sweep int
+	}{
+		{"v2", DefaultOptions(0.02), 0},
+		{"v5-ctx", ctxOpts, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, stats, err := Compress(pc, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.NumDense == 0 || stats.NumSparse == 0 || stats.NumOutliers == 0 {
+				t.Fatalf("test frame must populate all sections, got %d/%d/%d",
+					stats.NumDense, stats.NumSparse, stats.NumOutliers)
+			}
+			full, err := Decompress(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The sparse payload aliases data, so flips land in the frame.
+			c, err := parseContainer(data, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := c.sec[SectionSparse].payload
+			type flip struct {
+				off int
+				bit byte
+			}
+			flips := []flip{{len(sp) / 2, 0xff}}
+			for k := 0; k < tc.sweep; k++ {
+				flips = append(flips, flip{len(sp) * (2*k + 1) / (2 * tc.sweep), 0x01})
+			}
+			for _, f := range flips {
+				sp[f.off] ^= f.bit
+				checkSparseLost(t, data, full, len(sp))
+				sp[f.off] ^= f.bit
+				if t.Failed() {
+					t.Fatalf("flip %#x at sparse byte %d of %d", f.bit, f.off, len(sp))
+				}
+			}
+		})
 	}
-	if stats.NumDense == 0 || stats.NumSparse == 0 || stats.NumOutliers == 0 {
-		t.Fatalf("test frame must populate all sections, got %d/%d/%d",
-			stats.NumDense, stats.NumSparse, stats.NumOutliers)
-	}
-	full, err := Decompress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// Flip one byte inside the sparse payload (it aliases data).
-	c, err := parseContainer(data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := c.sec[SectionSparse].payload
-	sp[len(sp)/2] ^= 0xff
-
+// checkSparseLost asserts that a frame whose sparse section is damaged, and
+// carries no per-group CRCs to salvage with, partially decodes to exactly
+// the dense and outlier runs of full.
+func checkSparseLost(t *testing.T, data []byte, full geom.PointCloud, sparseLen int) {
+	t.Helper()
 	if _, err := Decompress(data); err == nil {
-		t.Fatal("full decode of the corrupted frame should fail")
+		t.Error("full decode of the corrupted frame should fail")
+		return
 	}
 	part, reports, err := DecompressPartial(data, DecompressOptions{})
 	if err != nil {
-		t.Fatalf("partial decode rejected the whole frame: %v", err)
+		t.Errorf("partial decode rejected the whole frame: %v", err)
+		return
 	}
 	if reports[SectionSparse].Err == nil {
-		t.Fatal("sparse section damage not reported")
+		t.Error("sparse section damage not reported")
 	}
-	if len(reports[SectionSparse].Raw) != len(sp) {
-		t.Fatalf("damaged report carries %d raw bytes, want %d", len(reports[SectionSparse].Raw), len(sp))
+	if reports[SectionSparse].Points != 0 {
+		t.Errorf("damaged sparse section without group CRCs yielded %d points", reports[SectionSparse].Points)
+	}
+	if len(reports[SectionSparse].Raw) != sparseLen {
+		t.Errorf("damaged report carries %d raw bytes, want %d", len(reports[SectionSparse].Raw), sparseLen)
 	}
 	if reports[SectionDense].Err != nil || reports[SectionOutlier].Err != nil {
-		t.Fatalf("intact sections reported damaged: dense=%v outlier=%v",
+		t.Errorf("intact sections reported damaged: dense=%v outlier=%v",
 			reports[SectionDense].Err, reports[SectionOutlier].Err)
+		return
 	}
 	// Full decode order is dense, sparse, outlier; the partial cloud keeps
 	// container order, so it must equal full minus the sparse run.
 	nd, no := reports[SectionDense].Points, reports[SectionOutlier].Points
 	if nd == 0 || no == 0 {
-		t.Fatalf("intact sections recovered no points: dense=%d outlier=%d", nd, no)
+		t.Errorf("intact sections recovered no points: dense=%d outlier=%d", nd, no)
+		return
 	}
 	want := append(append(geom.PointCloud{}, full[:nd]...), full[len(full)-no:]...)
 	if !cloudsEqual(want, part) {
-		t.Fatalf("partial cloud differs from the intact sections of the full decode (%d vs %d points)",
+		t.Errorf("partial cloud differs from the intact sections of the full decode (%d vs %d points)",
 			len(part), len(want))
 	}
 }

@@ -19,8 +19,9 @@ type Layout struct {
 	// ShardedStreams reports the v3 dialect: high-volume entropy streams
 	// split into independently coded shards, sparse groups CRC-prefixed.
 	ShardedStreams bool
-	// BlockPacked reports the v4 dialect: integer hot-path streams coded
-	// with the blockpack codec inside the shard framing.
+	// BlockPacked reports the legacy v4 dialect, read but no longer
+	// written: integer hot-path streams coded with the blockpack codec
+	// inside the shard framing.
 	BlockPacked bool
 	// ContextModeled reports the v5 dialect: occupancy and angular streams
 	// may be coded under the ctxmodel context banks, per-stream size

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzDecode hammers both octree decoders with mutated streams; they must
-// never panic and never loop.
+// never panic and never loop. The legacy blockpacked seed, which the encoder
+// can no longer produce, lives in testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	pc := geom.PointCloud{{X: 1, Y: 2, Z: 3}, {X: 1.1, Y: 2, Z: 3}, {X: -4, Y: 0, Z: 1}}
 	plain, err := Encode(pc, 0.02)
@@ -22,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	packed, err := EncodeWith(pc, 0.02, EncodeOptions{BlockPack: true})
+	shardedCtx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, Shards: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(plain.Data)
 	f.Add(grouped.Data)
 	f.Add(sharded.Data)
-	f.Add(packed.Data)
+	f.Add(shardedCtx.Data)
 	f.Add(ctx.Data)
 	f.Add(groupedCtx.Data)
 	f.Add([]byte{})

@@ -96,15 +96,9 @@ type EncodeOptions struct {
 	// The produced stream requires a shard-aware decoder (DecodeWith with
 	// Sharded set) when Shards > 1.
 	Shards int
-	// BlockPack codes the per-leaf count stream with the blockpack codec
-	// instead of the adaptive arithmetic coder (container v4) and moves the
-	// occupancy stream into the sharded framing. The produced stream
-	// requires DecodeWith with BlockPack set. Off keeps v2/v3 bytes
-	// unchanged.
-	BlockPack bool
 	// Context prefixes the occupancy stream with a one-byte method marker
 	// and, when the context-modeled coding of internal/ctxmodel beats the
-	// v2/v3/v4 bytes, emits it (container v5). The per-stream size guard
+	// v2/v3 bytes, emits it (container v5). The per-stream size guard
 	// means enabling Context never grows the stream; when context coding
 	// loses, the marker is followed by the exact legacy bytes. The
 	// produced stream requires DecodeWith with Context set.
@@ -128,10 +122,6 @@ func (o EncodeOptions) ctxFeatures() ctxmodel.Features {
 	}
 	return ctxmodel.DefaultFeatures
 }
-
-// Sharded reports whether the options produce sharded entropy streams.
-// BlockPack (v4) always uses the shard framing, with possibly one shard.
-func (o EncodeOptions) sharded() bool { return o.Shards > 1 || o.BlockPack }
 
 // Encode compresses points so that every reconstructed coordinate differs
 // from the original by at most q per dimension. An empty input encodes to a
@@ -179,7 +169,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	var occStream, countStream []byte
 	encodeOcc := func() []byte {
 		var legacy []byte
-		if opts.sharded() {
+		if opts.Shards > 1 {
 			legacy = arith.AppendCompressCodesSharded(nil, occ, 256, opts.Shards, opts.Parallel)
 		} else {
 			legacy = compressOccupancy(occ)
@@ -189,7 +179,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		}
 		// v5 dialect: a method marker precedes the stream, and the smaller
 		// of the context-modeled and legacy codings wins. Ties go to
-		// legacy, so guarded output degenerates to exactly the v3/v4 bytes
+		// legacy, so guarded output degenerates to exactly the v2/v3 bytes
 		// plus one marker.
 		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.ctxFeatures(), opts.Shards, opts.Parallel)
 		if len(ctx) < len(legacy)+1 {
@@ -199,10 +189,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		return append([]byte{occMethodLegacy}, legacy...)
 	}
 	encodeCounts := func() []byte {
-		if opts.BlockPack {
-			return blockpack.PackUint64Sharded(nil, counts, opts.Shards, opts.Parallel)
-		}
-		if opts.sharded() {
+		if opts.Shards > 1 {
 			return arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
 		}
 		return arith.AppendCompressUints(nil, counts)
@@ -232,30 +219,6 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	buildPool.Put(scratch)
 	enc.Data = out
 	return enc, nil
-}
-
-// CollectCounts builds the octree for points at error bound q and returns
-// the per-leaf point count stream without entropy coding it. It exists for
-// the benchkit pack ablation, which compares codecs on the real count
-// stream of a frame.
-func CollectCounts(points geom.PointCloud, q float64) ([]uint64, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("octree: error bound must be positive, got %v", q)
-	}
-	if len(points) == 0 {
-		return nil, nil
-	}
-	cube := geom.Bounds(points).Cube()
-	depth := depthFor(cube.MaxDim(), q)
-	side := 2 * q * math.Pow(2, float64(depth))
-	if side < cube.MaxDim() {
-		side = cube.MaxDim()
-	}
-	scratch := buildPool.Get().(*buildScratch)
-	_, counts, _ := buildAndSerialize(scratch, points, cube.Min, side, depth, false)
-	out := append([]uint64(nil), counts...)
-	buildPool.Put(scratch)
-	return out, nil
 }
 
 // CollectOccupancy builds the octree for points at error bound q and
@@ -477,8 +440,9 @@ type DecodeOptions struct {
 	// inferred from the payload.
 	Sharded bool
 	// BlockPack declares that the count stream uses the blockpack codec in
-	// the shard framing (container v4). Implies the sharded framing for the
-	// occupancy stream.
+	// the shard framing (the legacy container v4 dialect, decoded but no
+	// longer emitted). Implies the sharded framing for the occupancy
+	// stream.
 	BlockPack bool
 	// Parallel decodes the shards of a sharded stream concurrently. It has
 	// no effect on unsharded streams, and none on a context-coded

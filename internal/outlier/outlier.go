@@ -37,10 +37,6 @@ type EncodeOptions struct {
 	// many independently-coded shards (container v3). Values <= 1 keep the
 	// legacy single-coder streams.
 	Shards int
-	// BlockPack codes the z-delta and quadtree count streams with the
-	// blockpack codec in the shard framing (container v4). Off keeps v2/v3
-	// bytes unchanged.
-	BlockPack bool
 	// Parallel encodes the shards of a sharded stream concurrently.
 	Parallel bool
 }
@@ -59,7 +55,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	for i, p := range points {
 		xy[i] = quadtree.Point2{X: p.X, Y: p.Y}
 	}
-	qt, err := quadtree.EncodeWith(xy, q, quadtree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
+	qt, err := quadtree.EncodeWith(xy, q, quadtree.EncodeOptions{Shards: opts.Shards, Parallel: opts.Parallel})
 	if err != nil {
 		return Encoded{}, fmt.Errorf("outlier: quadtree: %w", err)
 	}
@@ -79,9 +75,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		dz[i] = zq[i] - zq[i-1]
 	}
 	var zStream []byte
-	if opts.BlockPack {
-		zStream = blockpack.PackInt64Sharded(nil, dz, opts.Shards, opts.Parallel)
-	} else if opts.Shards > 1 {
+	if opts.Shards > 1 {
 		zStream = arith.AppendCompressIntsSharded(nil, dz, opts.Shards, opts.Parallel)
 	} else {
 		zStream = arith.CompressInts(dz)
@@ -94,32 +88,6 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	out = varint.AppendUint(out, uint64(len(zStream)))
 	out = append(out, zStream...)
 	return Encoded{Data: out, DecodedOrder: qt.DecodedOrder}, nil
-}
-
-// CollectZDeltas builds the quadtree for points at error bound q and
-// returns the delta-encoded quantized z stream without entropy coding it.
-// It exists for the benchkit pack ablation, which compares codecs on the
-// real z-delta stream of a frame.
-func CollectZDeltas(points geom.PointCloud, q float64) ([]int64, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("outlier: error bound must be positive, got %v", q)
-	}
-	xy := make([]quadtree.Point2, len(points))
-	for i, p := range points {
-		xy[i] = quadtree.Point2{X: p.X, Y: p.Y}
-	}
-	qt, err := quadtree.Encode(xy, q)
-	if err != nil {
-		return nil, fmt.Errorf("outlier: quadtree: %w", err)
-	}
-	dz := make([]int64, len(points))
-	prev := int64(0)
-	for j, oi := range qt.DecodedOrder {
-		zq := int64(math.Round(points[oi].Z / (2 * q)))
-		dz[j] = zq - prev
-		prev = zq
-	}
-	return dz, nil
 }
 
 // Decode reconstructs the outlier points.
@@ -135,7 +103,8 @@ type DecodeOptions struct {
 	// sharded framing.
 	Sharded bool
 	// BlockPack declares that the z-delta and quadtree count streams use
-	// the blockpack codec in the shard framing (container v4).
+	// the blockpack codec in the shard framing (the legacy container v4
+	// dialect, decoded but no longer emitted).
 	BlockPack bool
 	// Parallel decodes the shards of a sharded stream concurrently.
 	Parallel bool

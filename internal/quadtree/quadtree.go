@@ -42,10 +42,6 @@ type EncodeOptions struct {
 	// independently-coded shards (container v3). Values <= 1 keep the
 	// legacy single-coder streams.
 	Shards int
-	// BlockPack codes the leaf count stream with the blockpack codec in the
-	// shard framing (container v4) and moves the occupancy stream into the
-	// sharded framing. Off keeps v2/v3 bytes unchanged.
-	BlockPack bool
 	// Parallel encodes the shards of a sharded stream concurrently.
 	Parallel bool
 }
@@ -158,13 +154,9 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 	enc.DecodedOrder = order
 
 	var occStream, countStream []byte
-	if opts.Shards > 1 || opts.BlockPack {
+	if opts.Shards > 1 {
 		occStream = arith.AppendCompressCodesSharded(nil, occ, 16, opts.Shards, opts.Parallel)
-		if opts.BlockPack {
-			countStream = blockpack.PackUint64Sharded(nil, counts, opts.Shards, opts.Parallel)
-		} else {
-			countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
-		}
+		countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
 	} else {
 		occStream = compressCodes(occ, parents)
 		countStream = arith.CompressUints(counts)
@@ -215,8 +207,9 @@ type DecodeOptions struct {
 	// sharded framing.
 	Sharded bool
 	// BlockPack declares that the count stream uses the blockpack codec in
-	// the shard framing (container v4). Implies the sharded framing for the
-	// occupancy stream.
+	// the shard framing (the legacy container v4 dialect, decoded but no
+	// longer emitted). Implies the sharded framing for the occupancy
+	// stream.
 	BlockPack bool
 	// Parallel decodes the shards of a sharded stream concurrently.
 	Parallel bool

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
 	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
@@ -53,13 +52,6 @@ type Options struct {
 	// previous releases. The flag rides in the stream header, so decoders
 	// need no out-of-band signal.
 	Shards int
-	// BlockPack codes the integer streams (polyline lengths, θ/φ heads and
-	// tails, radials) with the blockpack codec instead of varint+DEFLATE
-	// and the adaptive arithmetic coder (container v4). The high-volume
-	// streams keep the shard framing, so sharded parallel decode composes;
-	// groups carry CRCs like the sharded dialect. The flag rides in the
-	// stream header. Off leaves every legacy dialect byte-identical.
-	BlockPack bool
 	// Context lets the angular streams (θ-head deltas, θ tails, φ tails)
 	// compete against two extra entropy coders — plain adaptive arithmetic
 	// and the context-modeled magnitude-bucket coder of internal/ctxmodel —
@@ -118,9 +110,10 @@ const (
 	// prefixed by its CRC-32C, and the φ-tail and radial streams use the
 	// sharded entropy framing of internal/arith.
 	flagSharded = 1 << 2
-	// flagBlockPack marks the container v4 dialect: the integer streams are
-	// blockpacked (the high-volume ones inside the shard framing), and each
-	// group payload is CRC-prefixed like the sharded dialect.
+	// flagBlockPack marks the legacy container v4 dialect, which only
+	// decoders still read: the integer streams are blockpacked (the
+	// high-volume ones inside the shard framing), and each group payload is
+	// CRC-prefixed like the sharded dialect.
 	flagBlockPack = 1 << 3
 	// flagContext marks the container v5 dialect: each group carries a
 	// methods byte (after the count header) naming the per-stream entropy
@@ -156,9 +149,6 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	}
 	if opts.Shards > 1 {
 		flags |= flagSharded
-	}
-	if opts.BlockPack {
-		flags |= flagBlockPack
 	}
 	if opts.Context {
 		flags |= flagContext
@@ -203,7 +193,7 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	encodeOne := func(gi int) {
 		r := &results[gi]
 		lo, hi := bounds[gi], bounds[gi+1]
-		r.data, r.outliers, r.order, r.nLines, r.times, r.err = encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, nil)
+		r.data, r.outliers, r.order, r.nLines, r.times, r.err = encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts)
 	}
 	if opts.Parallel && g > 1 {
 		// Bounded fan-out: at most GOMAXPROCS workers, each encoding a
@@ -226,8 +216,8 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 		if r.err != nil {
 			return Encoded{}, fmt.Errorf("sparse: group %d: %w", gi, r.err)
 		}
-		if opts.Shards > 1 || opts.BlockPack {
-			// v3/v4 dialect: the group length covers a leading CRC-32C so a
+		if opts.Shards > 1 {
+			// v3 dialect: the group length covers a leading CRC-32C so a
 			// damaged group can be detected — and skipped — on its own.
 			out = varint.AppendUint(out, uint64(len(r.data))+4)
 			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(r.data, crcTable))
@@ -278,9 +268,8 @@ func groupBoundaries(rs []float64, g int) []int {
 
 // encodeGroup runs steps 1-9 for one radial group. rs carries the group's
 // precomputed norms in the same (ascending) order as group; times holds the
-// COR, ORG, and SPA stage durations. A non-nil capture receives copies of
-// the raw integer streams before they are entropy coded (CollectStreams).
-func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *GroupStreams) (data []byte, outliers, order []int32, nLines int, times [3]time.Duration, err error) {
+// COR, ORG, and SPA stage durations.
+func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options) (data []byte, outliers, order []int32, nLines int, times [3]time.Duration, err error) {
 	var qpts []polyline.Point
 	var rMax float64
 	var cfg polyline.Config
@@ -371,15 +360,6 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 	dThetaHeads := deltaInts(thetaHeads)
 	dPhiHeads := deltaInts(phiHeads)
 
-	if capture != nil {
-		capture.Lens = append([]uint64(nil), lens...)
-		capture.DThetaHeads = append([]int64(nil), dThetaHeads...)
-		capture.ThetaTails = append([]int64(nil), thetaTails...)
-		capture.DPhiHeads = append([]int64(nil), dPhiHeads...)
-		capture.PhiTails = append([]int64(nil), phiTails...)
-		capture.Radials = append([]int64(nil), radials...)
-	}
-
 	data = make([]byte, 0, 1024)
 	if !opts.CartesianMode {
 		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(rMax))
@@ -394,103 +374,42 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 	// into the output, so the scratch is safe to reuse immediately.
 	sp := streamScratch.Get().(*[]byte)
 	s := *sp
+	// v5 dialect: the three angular streams each pick the smallest of their
+	// legacy coding, plain adaptive arithmetic, and the context-modeled
+	// coder; the winners land in the methods byte after the count header.
+	methodsAt := len(data)
 	if opts.Context {
-		// v5 dialect: the three angular streams each pick the smallest of
-		// their legacy coding, plain adaptive arithmetic, and the
-		// context-modeled coder; the winners land in the methods byte.
-		methodsAt := len(data)
 		data = append(data, 0)
-		if opts.BlockPack {
-			s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards, opts.Parallel)
+	}
+	angular := func(shift uint, legacy []byte, vs []int64, shards int) {
+		if opts.Context {
+			data = chooseIntStream(data, methodsAt, shift, legacy, vs, shards, opts.Parallel)
 		} else {
-			s = arith.AppendCompressUints(s[:0], lens)
-		}
-		data = appendStream(data, s)
-
-		var legacy []byte
-		if opts.BlockPack {
-			legacy = blockpack.PackInt64(nil, dThetaHeads)
-		} else {
-			legacy = deflateBytes(varint.AppendInts(nil, dThetaHeads))
-		}
-		data = chooseIntStream(data, methodsAt, 0, legacy, dThetaHeads, 1, opts.Parallel)
-
-		if opts.BlockPack {
-			legacy = blockpack.PackInt64Sharded(nil, thetaTails, opts.Shards, opts.Parallel)
-		} else {
-			legacy = deflateBytes(varint.AppendInts(nil, thetaTails))
-		}
-		data = chooseIntStream(data, methodsAt, 2, legacy, thetaTails, opts.Shards, opts.Parallel)
-
-		if opts.BlockPack {
-			s = blockpack.PackInt64(s[:0], dPhiHeads)
-		} else {
-			s = arith.AppendCompressInts(s[:0], dPhiHeads)
-		}
-		data = appendStream(data, s)
-
-		switch {
-		case opts.BlockPack:
-			legacy = blockpack.PackInt64Sharded(nil, phiTails, opts.Shards, opts.Parallel)
-		case opts.Shards > 1:
-			legacy = arith.AppendCompressIntsSharded(nil, phiTails, opts.Shards, opts.Parallel)
-		default:
-			legacy = arith.AppendCompressInts(nil, phiTails)
-		}
-		data = chooseIntStream(data, methodsAt, 4, legacy, phiTails, opts.Shards, opts.Parallel)
-
-		switch {
-		case opts.BlockPack:
-			s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards, opts.Parallel)
-		case opts.Shards > 1:
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards, opts.Parallel)
-		default:
-			s = arith.AppendCompressInts(s[:0], radials)
-		}
-		data = appendStream(data, s)
-	} else if opts.BlockPack {
-		// v4 dialect: every integer stream blockpacks. The high-volume
-		// streams (lengths, tails, radials) keep the shard framing so
-		// sharded parallel decode composes; the tiny head streams pack
-		// plain. Only the 4-symbol reference stream stays on the adaptive
-		// arithmetic coder, where sub-bit symbols beat any bit packing.
-		s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards, opts.Parallel)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64(s[:0], dThetaHeads)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], thetaTails, opts.Shards, opts.Parallel)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64(s[:0], dPhiHeads)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], phiTails, opts.Shards, opts.Parallel)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards, opts.Parallel)
-		data = appendStream(data, s)
-	} else {
-		s = arith.AppendCompressUints(s[:0], lens)
-		data = appendStream(data, s)
-		s = varint.AppendInts(s[:0], dThetaHeads)
-		data = appendStream(data, deflateBytes(s))
-		s = varint.AppendInts(s[:0], thetaTails)
-		data = appendStream(data, deflateBytes(s))
-		s = arith.AppendCompressInts(s[:0], dPhiHeads)
-		data = appendStream(data, s)
-		// φ tails and radials are the group's two high-volume streams; in the
-		// sharded dialect they split into independently-coded shards. The small
-		// head/length/ref streams stay single-coder: sharding them would cost
-		// model restarts without useful parallelism.
-		if opts.Shards > 1 {
-			s = arith.AppendCompressIntsSharded(s[:0], phiTails, opts.Shards, opts.Parallel)
-			data = appendStream(data, s)
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards, opts.Parallel)
-			data = appendStream(data, s)
-		} else {
-			s = arith.AppendCompressInts(s[:0], phiTails)
-			data = appendStream(data, s)
-			s = arith.AppendCompressInts(s[:0], radials)
-			data = appendStream(data, s)
+			data = appendStream(data, legacy)
 		}
 	}
+	s = arith.AppendCompressUints(s[:0], lens)
+	data = appendStream(data, s)
+	s = varint.AppendInts(s[:0], dThetaHeads)
+	angular(0, deflateBytes(s), dThetaHeads, 1)
+	s = varint.AppendInts(s[:0], thetaTails)
+	angular(2, deflateBytes(s), thetaTails, opts.Shards)
+	s = arith.AppendCompressInts(s[:0], dPhiHeads)
+	data = appendStream(data, s)
+	// φ tails and radials are the group's two high-volume streams; in the
+	// sharded dialect they split into independently-coded shards. The small
+	// head/length/ref streams stay single-coder: sharding them would cost
+	// model restarts without useful parallelism.
+	if opts.Shards > 1 {
+		s = arith.AppendCompressIntsSharded(s[:0], phiTails, opts.Shards, opts.Parallel)
+		angular(4, s, phiTails, opts.Shards)
+		s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards, opts.Parallel)
+	} else {
+		s = arith.AppendCompressInts(s[:0], phiTails)
+		angular(4, s, phiTails, opts.Shards)
+		s = arith.AppendCompressInts(s[:0], radials)
+	}
+	data = appendStream(data, s)
 	s = appendCompressRefs(s[:0], refs)
 	data = appendStream(data, s)
 	*sp = s
@@ -663,53 +582,6 @@ func inflateBytes(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sparse: inflate: %w", err)
 	}
 	return out, nil
-}
-
-// GroupStreams holds one radial group's raw integer streams exactly as the
-// encoder hands them to the entropy layer, for codec ablations.
-type GroupStreams struct {
-	Lens        []uint64
-	DThetaHeads []int64
-	ThetaTails  []int64
-	DPhiHeads   []int64
-	PhiTails    []int64
-	Radials     []int64
-}
-
-// CollectStreams runs the sparse pipeline on the subset of pc given by idx
-// and returns every group's raw integer streams plus the outlier indices,
-// without emitting a stream. It exists for the benchkit pack ablation,
-// which compares codecs on the real per-stream data of a frame.
-func CollectStreams(pc geom.PointCloud, idx []int32, opts Options) ([]GroupStreams, []int32, error) {
-	if opts.Q <= 0 {
-		return nil, nil, fmt.Errorf("sparse: error bound must be positive, got %v", opts.Q)
-	}
-	sorted := append([]int32(nil), idx...)
-	rbits := make([]uint64, len(sorted))
-	for i, pi := range sorted {
-		rbits[i] = math.Float64bits(pc[pi].Norm())
-	}
-	radix.Sort(rbits, sorted, nil)
-	rs := make([]float64, len(rbits))
-	for i, b := range rbits {
-		rs[i] = math.Float64frombits(b)
-	}
-	g := opts.groups()
-	if len(sorted) < g {
-		g = 1
-	}
-	bounds := groupBoundaries(rs, g)
-	streams := make([]GroupStreams, g)
-	var outliers []int32
-	for gi := 0; gi < g; gi++ {
-		lo, hi := bounds[gi], bounds[gi+1]
-		_, out, _, _, _, err := encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi])
-		if err != nil {
-			return nil, nil, fmt.Errorf("sparse: group %d: %w", gi, err)
-		}
-		outliers = append(outliers, out...)
-	}
-	return streams, outliers, nil
 }
 
 // inflateBytesBounded is inflateBytes refusing to inflate past maxLen bytes

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzDecode hammers the sparse decoder with mutated group streams; it
-// must never panic.
+// must never panic. The legacy blockpacked seed, which the encoder can no
+// longer produce, lives in testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	pc := geom.PointCloud{
 		{X: 5, Y: 0, Z: -1}, {X: 5.02, Y: 0.03, Z: -1}, {X: 5.04, Y: 0.06, Z: -1},
@@ -22,8 +23,8 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	packed, err := Encode(pc, []int32{0, 1, 2, 3, 4},
-		Options{Q: 0.02, Groups: 2, UTheta: 0.003, UPhi: 0.007, BlockPack: true})
+	shardedCtx, err := Encode(pc, []int32{0, 1, 2, 3, 4},
+		Options{Q: 0.02, Groups: 2, UTheta: 0.003, UPhi: 0.007, Shards: 2, Context: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(enc.Data)
 	f.Add(enc.Data[:len(enc.Data)/3])
 	f.Add(sharded.Data)
-	f.Add(packed.Data)
+	f.Add(shardedCtx.Data)
 	f.Add(ctx.Data)
 	f.Add(ctx.Data[:2*len(ctx.Data)/3])
 	// Garble the per-group methods byte region so unknown method markers and
