@@ -1,7 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench-json bench-sweep bench-ctx \
-	soak failover-soak vuln
+.PHONY: check build vet test race fuzz soak failover-soak vuln
 
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
@@ -21,24 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Machine-readable performance numbers: serial/parallel compress and decode
-# timings, steady-state Encoder allocation counts, and frame-pipeline FPS
-# for this machine.
-bench-json:
-	$(GO) run ./cmd/dbgc-bench -exp perf -json BENCH_5.json
-
-# Multi-core scaling sweep: the sharded entropy codec packed and unpacked
-# at GOMAXPROCS 1/2/4/8, with per-stage timings, shard ratio drift vs. the
-# legacy container, and the shards=1 byte-identity check.
-bench-sweep:
-	$(GO) run ./cmd/dbgc-bench -exp sweep -shards 8 -gomaxprocs 1,2,4,8 -json BENCH_7.json
-
-# Context-modeling ablation: the occupancy feature sweep, the sparse-section
-# context gain, and the v5 container dialect matrix with the ratio/guard/
-# byte-identity acceptance checks. CTX_ITERS=1 is the CI smoke scale.
-CTX_ITERS ?= 10
-bench-ctx:
-	$(GO) run ./cmd/dbgc-bench -exp ctx -frames $(CTX_ITERS) -json BENCH_10.json
+# Performance is measured by perfbench/ (its own module, outside ./...):
+# `python3 perfbench/run.py --workload encode-hdl64` and friends, see
+# perfbench/README.md.
 
 # Chaos soak: concurrent tenants through fault-injected links and
 # crash-prone disks with induced crash-restarts, under the race detector.

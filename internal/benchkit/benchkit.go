@@ -49,8 +49,12 @@ func Frame(kind lidar.SceneKind, seed int64) (geom.PointCloud, error) {
 }
 
 // Frames returns n deterministic frames of a scene (different layouts and
-// capture seeds).
+// capture seeds). Every experiment taking a frame count loads its frames
+// here, so a count below 1 fails here instead of dividing by zero later.
 func Frames(kind lidar.SceneKind, n int) ([]geom.PointCloud, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("benchkit: frame count %d, need at least 1", n)
+	}
 	out := make([]geom.PointCloud, n)
 	for i := 0; i < n; i++ {
 		pc, err := Frame(kind, int64(i+1))

@@ -42,6 +42,26 @@ func TestFrames(t *testing.T) {
 	if len(fs[0]) == 0 || len(fs[1]) == 0 {
 		t.Fatal("empty frame")
 	}
+	// Every experiment taking a frame count rejects counts below 1 instead
+	// of dividing by zero or allocating a negative slice.
+	qs := []float64{DefaultQ}
+	for _, n := range []int{0, -1} {
+		exps := map[string]func() error{
+			"Frames":     func() error { _, err := Frames(lidar.Road, n); return err },
+			"Fig9":       func() error { _, err := Fig9([]lidar.SceneKind{lidar.Road}, qs, n); return err },
+			"Fig11":      func() error { _, err := Fig11(qs, n); return err },
+			"Table2":     func() error { _, err := Table2(DefaultQ, n); return err },
+			"Fig12":      func() error { _, err := Fig12(qs, n); return err },
+			"Fig13":      func() error { _, err := Fig13(DefaultQ, n); return err },
+			"Throughput": func() error { _, err := Throughput(DefaultQ, n); return err },
+			"Temporal":   func() error { _, err := Temporal(lidar.Road, n, DefaultQ); return err },
+		}
+		for name, run := range exps {
+			if err := run(); err == nil {
+				t.Errorf("%s with %d frames: want error", name, n)
+			}
+		}
+	}
 }
 
 func TestRatioAndBandwidth(t *testing.T) {

@@ -31,6 +31,9 @@ type TemporalResult struct {
 // Temporal runs the stream extension experiment: a static scene captured
 // repeatedly, compressed with and without P-frame prediction.
 func Temporal(kind lidar.SceneKind, frames int, q float64) (TemporalResult, error) {
+	if frames < 1 {
+		return TemporalResult{}, fmt.Errorf("benchkit: frame count %d, need at least 1", frames)
+	}
 	scene, err := lidar.NewScene(kind, 31)
 	if err != nil {
 		return TemporalResult{}, err

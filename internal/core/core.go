@@ -429,15 +429,6 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseId
 	return dense, sparseIdx
 }
 
-// SplitPoints classifies pc into dense and sparse index sets exactly as
-// Compress does under opts. It exists for the benchkit context ablation,
-// which replays the codec choice on the real per-stream data of a frame.
-func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
-	var e Encoder
-	d, s := e.splitPoints(pc, opts)
-	return append([]int32(nil), d...), append([]int32(nil), s...)
-}
-
 func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	switch opts.OutlierMode {
 	case OutlierQuadtree:

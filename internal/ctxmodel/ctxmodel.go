@@ -3,9 +3,8 @@
 // model (Huang et al., PAPERS.md). Instead of one order-0 model per stream,
 // symbols are coded under a bank of per-context models, where the context is
 // derived from already-transmitted structure: for octree occupancy codes the
-// parent's occupancy byte, the node's octant, the previously decoded sibling
-// code, and the depth bucket; for integer delta streams the magnitude bucket
-// of the previous value.
+// parent's occupancy byte and the node's octant; for integer delta streams
+// the magnitude bucket of the previous value.
 //
 // Splitting a short stream (a city frame carries ~24k occupancy codes)
 // across many 256-ary adaptive models normally loses: each model pays the
@@ -37,68 +36,37 @@ import (
 // ErrCorrupt reports a malformed context-modeled stream.
 var ErrCorrupt = errors.New("ctxmodel: corrupt stream")
 
-// Features selects which structural signals form the occupancy context.
-// The feature byte travels in the stream header, so the decoder derives the
-// identical context indices without out-of-band configuration.
-type Features uint8
+// OccContexts is the occupancy context count: one per parent-adjacency
+// mask (see OccIndex).
+const OccContexts = 8
 
-const (
-	// FeatOctant mirrors each occupancy code along the axes where its node
-	// lies on the positive side of its parent (octant reflection). It
-	// canonicalizes orientation rather than multiplying contexts.
-	FeatOctant Features = 1 << iota
-	// FeatParent keys the context on the parent-adjacency mask: which of
-	// the node's three face-sharing siblings exist in the parent's
-	// occupancy code (8 contexts).
-	FeatParent
-	// FeatSibling keys the context on the popcount bucket of the
-	// previously decoded occupancy code at the same level (4 contexts).
-	FeatSibling
-	// FeatDepth keys the context on the remaining-depth bucket,
-	// min(3, levels above the leaves) (4 contexts).
-	FeatDepth
+// occFeatures is the feature byte every context-modeled occupancy stream
+// carries: octant reflection (bit 0) plus the parent-adjacency contexts
+// (bit 1). It is the one scheme left of a feature ablation on the city
+// frame at q = 2 cm, measured as occupancy bytes against the order-0
+// stream: octant+parent -3.18%, octant+parent+depth -1.77%,
+// octant+parent+sibling +0.82%, all four features +2.06%. The sibling
+// (0x04) and depth (0x08) features cost more in context dilution than they
+// gained, so DecodeOcc rejects any other feature byte.
+const occFeatures = 0x03
 
-	// FeatAll is every defined feature bit; stream headers carrying
-	// unknown bits are corrupt.
-	FeatAll = FeatOctant | FeatParent | FeatSibling | FeatDepth
-)
-
-// DefaultFeatures is the measured sweet spot on the KITTI-style benchmark
-// frames: reflection plus the 8 adjacency contexts. The sibling and depth
-// features exist for the benchkit ablation; on the reference frames their
-// extra contexts dilute more than they sharpen (BENCH_10.json).
-const DefaultFeatures = FeatOctant | FeatParent
-
-// Contexts returns the size of the context bank the feature set selects.
-// FeatOctant remaps symbols and multiplies nothing.
-func (f Features) Contexts() int {
-	c := 1
-	if f&FeatParent != 0 {
-		c *= 8
+// OccIndex returns the occupancy context of a node in [0, OccContexts):
+// which of its three face-sharing siblings are present in the parent's
+// occupancy code, bit 0 for the neighbor across x, bit 1 across y, bit 2
+// across z. Occupied neighbors predict denser children on the shared face,
+// which is what the 8 contexts separate.
+func OccIndex(parent byte, octant uint8) int {
+	m := 0
+	if parent&(1<<(octant^1)) != 0 {
+		m |= 1
 	}
-	if f&FeatSibling != 0 {
-		c *= 4
+	if parent&(1<<(octant^2)) != 0 {
+		m |= 2
 	}
-	if f&FeatDepth != 0 {
-		c *= 4
+	if parent&(1<<(octant^4)) != 0 {
+		m |= 4
 	}
-	return c
-}
-
-// Index maps one node's structural signals to its context index in
-// [0, f.Contexts()).
-func (f Features) Index(parent byte, octant uint8, prev byte, drem uint8) int {
-	idx := 0
-	if f&FeatParent != 0 {
-		idx = idx<<3 | adjMask(parent, octant)
-	}
-	if f&FeatSibling != 0 {
-		idx = idx<<2 | popBucket(prev)
-	}
-	if f&FeatDepth != 0 {
-		idx = idx<<2 | int(drem)
-	}
-	return idx
+	return m
 }
 
 // Reflect mirrors the occupancy code along the axes set in octant, so a
@@ -116,37 +84,6 @@ func Reflect(code byte, octant uint8) byte {
 		code = code>>4 | code<<4
 	}
 	return code
-}
-
-// adjMask reports which of a node's three face-sharing siblings are present
-// in the parent's occupancy code: bit 0 for the neighbor across x, bit 1
-// across y, bit 2 across z. Occupied neighbors predict denser children on
-// the shared face, which is what the 8 contexts separate.
-func adjMask(parent byte, octant uint8) int {
-	m := 0
-	if parent&(1<<(octant^1)) != 0 {
-		m |= 1
-	}
-	if parent&(1<<(octant^2)) != 0 {
-		m |= 2
-	}
-	if parent&(1<<(octant^4)) != 0 {
-		m |= 4
-	}
-	return m
-}
-
-// popBucket buckets the previously decoded sibling code by occupancy
-// density: 0 (level start or empty), 1, 2, or 3+ occupied children.
-func popBucket(prev byte) int {
-	pop := 0
-	for b := prev; b != 0; b &= b - 1 {
-		pop++
-	}
-	if pop > 3 {
-		pop = 3
-	}
-	return pop
 }
 
 // ModelBytes256 is the memory one 256-symbol context model costs (the

@@ -2,6 +2,7 @@ package ctxmodel
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -52,50 +53,59 @@ func TestReflectInvolution(t *testing.T) {
 	}
 }
 
+// TestFeatureContexts pins the one occupancy context scheme: every
+// (parent, octant) pair maps into [0, OccContexts), each of the 8
+// parent-adjacency contexts is reachable, and the stream header declares
+// feature byte 0x03 (octant reflection | parent adjacency) with 8 contexts.
 func TestFeatureContexts(t *testing.T) {
-	cases := map[Features]int{
-		0:                        1,
-		FeatOctant:               1,
-		FeatParent:               8,
-		FeatSibling:              4,
-		FeatDepth:                4,
-		DefaultFeatures:          8,
-		FeatAll:                  128,
-		FeatParent | FeatSibling: 32,
-	}
-	for f, want := range cases {
-		if got := f.Contexts(); got != want {
-			t.Errorf("Features(%#x).Contexts() = %d, want %d", byte(f), got, want)
+	seen := make([]bool, OccContexts)
+	for parent := 0; parent < 256; parent++ {
+		for o := uint8(0); o < 8; o++ {
+			idx := OccIndex(byte(parent), o)
+			if idx < 0 || idx >= OccContexts {
+				t.Fatalf("OccIndex(%#x, %d) = %d, outside [0, %d)", parent, o, idx, OccContexts)
+			}
+			seen[idx] = true
 		}
+	}
+	for idx, ok := range seen {
+		if !ok {
+			t.Errorf("context %d unreachable", idx)
+		}
+	}
+	// Neighbor across x of octant 0 is octant 1, across y octant 2, across z
+	// octant 4.
+	if OccIndex(0x02, 0) != 1 || OccIndex(0x04, 0) != 2 || OccIndex(0x10, 0) != 4 || OccIndex(0x01, 7) != 0 {
+		t.Fatalf("adjacency bits wrong: %d %d %d %d", OccIndex(0x02, 0), OccIndex(0x04, 0), OccIndex(0x10, 0), OccIndex(0x01, 7))
+	}
+	if hdr := AppendOcc(nil, []byte{0x01}, 1, 1, false); hdr[0] != 0x03 || hdr[1] != OccContexts {
+		t.Fatalf("stream header %#x %#x, want 0x03 %#x", hdr[0], hdr[1], OccContexts)
 	}
 }
 
 func TestOccRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	feats := []Features{0, FeatOctant, DefaultFeatures, FeatParent | FeatSibling, FeatAll}
 	for _, depth := range []int{1, 2, 4, 6} {
 		occ := genOcc(rng, depth)
-		for _, f := range feats {
-			for _, shards := range []int{1, 4} {
-				stream := AppendOcc(nil, occ, depth, f, shards, false)
-				par := AppendOcc(nil, occ, depth, f, shards, true)
-				if !bytes.Equal(stream, par) {
-					t.Fatalf("depth %d feats %#x shards %d: parallel encode differs", depth, byte(f), shards)
-				}
-				got, err := DecodeOcc(stream, len(occ), depth, nil)
-				if err != nil {
-					t.Fatalf("depth %d feats %#x shards %d: decode: %v", depth, byte(f), shards, err)
-				}
-				if !bytes.Equal(got, occ) {
-					t.Fatalf("depth %d feats %#x shards %d: roundtrip mismatch", depth, byte(f), shards)
-				}
+		for _, shards := range []int{1, 4} {
+			stream := AppendOcc(nil, occ, depth, shards, false)
+			par := AppendOcc(nil, occ, depth, shards, true)
+			if !bytes.Equal(stream, par) {
+				t.Fatalf("depth %d shards %d: parallel encode differs", depth, shards)
+			}
+			got, err := DecodeOcc(stream, len(occ), depth, nil)
+			if err != nil {
+				t.Fatalf("depth %d shards %d: decode: %v", depth, shards, err)
+			}
+			if !bytes.Equal(got, occ) {
+				t.Fatalf("depth %d shards %d: roundtrip mismatch", depth, shards)
 			}
 		}
 	}
 }
 
 func TestOccEmpty(t *testing.T) {
-	stream := AppendOcc(nil, nil, 0, DefaultFeatures, 1, false)
+	stream := AppendOcc(nil, nil, 0, 1, false)
 	got, err := DecodeOcc(stream, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
@@ -107,7 +117,7 @@ func TestOccEmpty(t *testing.T) {
 
 func TestDecodeOccCorrupt(t *testing.T) {
 	occ := genOcc(rand.New(rand.NewSource(1)), 4)
-	stream := AppendOcc(nil, occ, 4, DefaultFeatures, 2, false)
+	stream := AppendOcc(nil, occ, 4, 2, false)
 
 	if _, err := DecodeOcc(nil, len(occ), 4, nil); err == nil {
 		t.Error("empty stream: want error")
@@ -121,6 +131,22 @@ func TestDecodeOccCorrupt(t *testing.T) {
 	bad = append([]byte{stream[0], 0x7f}, stream[2:]...)
 	if _, err := DecodeOcc(bad, len(occ), 4, nil); err == nil {
 		t.Error("wrong context count: want error")
+	}
+	// This occ as the former multi-feature encoder wrote it (2 shards) under
+	// the retired feature sets: none (0x00), octant+parent+sibling (0x07,
+	// 32 contexts) and all four (0x0f, 128 contexts). Those streams decoded
+	// before the single scheme and are now corrupt, as is feature byte 0x03
+	// declaring 128 contexts.
+	retired := map[string][]byte{
+		"feats=0x00":          {0x00, 0x01, 0x01, 0x0c, 0x01, 0x91, 0x55, 0x7a, 0xf5, 0x1d, 0x4c, 0xca, 0x7c, 0xd8, 0x04, 0x56},
+		"feats=0x07":          {0x07, 0x20, 0x01, 0x0b, 0x01, 0x91, 0x55, 0x70, 0x66, 0xfd, 0x9f, 0x47, 0x33, 0x1c, 0xbc},
+		"feats=0x0f":          {0x0f, 0x80, 0x01, 0x01, 0x0b, 0x01, 0x91, 0x55, 0x70, 0x66, 0xfa, 0xf1, 0x0f, 0xeb, 0xdf, 0xf8},
+		"feats=0x03/nctx=128": append([]byte{0x03, 0x80, 0x01}, stream[2:]...),
+	}
+	for name, data := range retired {
+		if _, err := DecodeOcc(data, len(occ), 4, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 	// Truncations at every prefix must error, never panic or hang.
 	for l := 0; l < len(stream); l += 7 {
@@ -219,14 +245,14 @@ func TestBankSeeding(t *testing.T) {
 // contract).
 func TestBankPooling(t *testing.T) {
 	occ := genOcc(rand.New(rand.NewSource(5)), 5)
-	stream := AppendOcc(nil, occ, 5, DefaultFeatures, 2, false)
+	stream := AppendOcc(nil, occ, 5, 2, false)
 	dst := make([]byte, 0, 2*len(stream))
 	// Warm the pools.
 	for i := 0; i < 3; i++ {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2, false)
+		AppendOcc(dst[:0], occ, 5, 2, false)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2, false)
+		AppendOcc(dst[:0], occ, 5, 2, false)
 	})
 	// The shard framing allocates a few slice headers per encode; the
 	// bound is that models/tables (1KiB+ each) are NOT rebuilt: with 9

@@ -11,28 +11,25 @@ import (
 
 // Context-modeled occupancy stream (container v5). The layout is:
 //
-//	feats   byte     feature mask (Features bits; unknown bits are corrupt)
-//	nctx    uvarint  context count, must equal feats.Contexts()
+//	feats   byte     feature byte, always occFeatures (0x03)
+//	nctx    uvarint  context count, always OccContexts (8)
 //	shards  ...      the arith shard framing over the occupancy codes
 //
-// Every context feature derives from structure that is already decoded when
-// the symbol arrives — the parent's code (one level up), the node's octant
-// (implied by the parent's code), the previous code at the same level, and
-// the depth — so the decoder replays the breadth-first construction in
-// lockstep with the arithmetic decode. The replay makes shard decode
-// inherently sequential (a shard's contexts depend on every earlier
-// shard's codes); the bank still resets per shard so the bytes match the
-// shard-parallel encoder.
+// Each node's context derives from structure that is already decoded when
+// the symbol arrives — the parent's code (one level up) and the node's
+// octant (implied by the parent's code) — so the decoder replays the
+// breadth-first construction in lockstep with the arithmetic decode. The
+// replay makes shard decode inherently sequential (a shard's contexts
+// depend on every earlier shard's codes); the bank still resets per shard
+// so the bytes match the shard-parallel encoder.
 
 // occReplay tracks the breadth-first structural state that yields each
-// node's context features. The encoder drives it over the full occupancy
-// sequence up front (the tree is known); the decoder advances it one
-// decoded code at a time.
+// node's parent code and octant. The encoder drives it over the full
+// occupancy sequence up front (the tree is known); the decoder advances it
+// one decoded code at a time.
 type occReplay struct {
 	parent []byte  // parent occupancy code per node slot
 	octant []uint8 // child index within the parent per node slot
-	prev   []byte  // previous same-level code (encode-side aux, for shards)
-	drem   []uint8 // remaining-depth bucket (encode-side aux)
 
 	n, depth         int
 	w                int // next child slot to assign
@@ -42,14 +39,10 @@ type occReplay struct {
 
 var replayPool = sync.Pool{New: func() any { return new(occReplay) }}
 
-func getReplay(n, depth int, aux bool) *occReplay {
+func getReplay(n, depth int) *occReplay {
 	r := replayPool.Get().(*occReplay)
 	r.parent = grow(r.parent, n)
 	r.octant = grow(r.octant, n)
-	if aux {
-		r.prev = grow(r.prev, n)
-		r.drem = grow(r.drem, n)
-	}
 	if n > 0 {
 		r.parent[0], r.octant[0] = 0, 0
 	}
@@ -61,12 +54,12 @@ func getReplay(n, depth int, aux bool) *occReplay {
 
 func putReplay(r *occReplay) { replayPool.Put(r) }
 
-// features returns the context features of node i given the codes decoded
-// so far (occ[:i] are valid). Call with ascending i, each followed by one
-// observe. On structurally impossible streams (a corrupt decode can imply
-// fewer nodes than the header claims) the features degrade to zero; the
-// octree-level replay rejects such streams after the fact.
-func (r *occReplay) features(i int, occ []byte) (parent byte, octant uint8, prev byte, drem uint8) {
+// node returns the parent code and octant of node i. Call with ascending
+// i, each followed by one observe. On structurally impossible streams (a
+// corrupt decode can imply fewer nodes than the header claims) both
+// degrade to zero; the octree-level replay rejects such streams after the
+// fact.
+func (r *occReplay) node(i int) (parent byte, octant uint8) {
 	for i >= r.lvlEnd && r.lvlEnd > r.lvlStart {
 		r.d++
 		r.lvlStart, r.lvlEnd = r.lvlEnd, r.w
@@ -74,16 +67,7 @@ func (r *occReplay) features(i int, occ []byte) (parent byte, octant uint8, prev
 	if i < r.w {
 		parent, octant = r.parent[i], r.octant[i]
 	}
-	if i > r.lvlStart && i < r.lvlEnd {
-		prev = occ[i-1]
-	}
-	if rem := r.depth - 1 - r.d; rem > 0 {
-		if rem > 3 {
-			rem = 3
-		}
-		drem = uint8(rem)
-	}
-	return parent, octant, prev, drem
+	return parent, octant
 }
 
 // observe accounts node i's code, assigning parent/octant slots to its
@@ -106,32 +90,28 @@ func (r *occReplay) observe(code byte) {
 }
 
 // AppendOcc appends the context-modeled coding of the breadth-first
-// occupancy sequence occ (an octree of the given depth) under feats,
-// sharded into shards independently coded shards. The bytes depend only on
-// (occ, depth, feats, shards), never on parallel.
-func AppendOcc(dst, occ []byte, depth int, feats Features, shards int, parallel bool) []byte {
-	feats &= FeatAll
-	dst = append(dst, byte(feats))
-	dst = varint.AppendUint(dst, uint64(feats.Contexts()))
+// occupancy sequence occ (an octree of the given depth), sharded into
+// shards independently coded shards. Each code is reflected by its octant
+// and coded under its OccIndex context. The bytes depend only on
+// (occ, depth, shards), never on parallel.
+func AppendOcc(dst, occ []byte, depth, shards int, parallel bool) []byte {
+	dst = append(dst, occFeatures)
+	dst = varint.AppendUint(dst, OccContexts)
 
-	// Feature pass: the encoder knows the whole tree, so per-node features
-	// land in flat arrays and the shard workers index them freely.
-	r := getReplay(len(occ), depth, true)
+	// Structure pass: the encoder knows the whole tree, so every node's
+	// parent and octant land in flat arrays the shard workers index freely.
+	r := getReplay(len(occ), depth)
 	for i, code := range occ {
-		_, _, prev, drem := r.features(i, occ)
-		r.prev[i], r.drem[i] = prev, drem
+		r.node(i)
 		r.observe(code)
 	}
 
 	dst = arith.AppendSharded(dst, len(occ), shards, parallel, func(lo, hi int, out []byte) []byte {
-		bank := GetBank(feats.Contexts(), 256)
+		bank := GetBank(OccContexts, 256)
 		e := arith.GetEncoder()
 		for i := lo; i < hi; i++ {
-			sym := occ[i]
-			if feats&FeatOctant != 0 {
-				sym = Reflect(sym, r.octant[i])
-			}
-			bank.Encode(e, feats.Index(r.parent[i], r.octant[i], r.prev[i], r.drem[i]), int(sym))
+			parent, octant := r.parent[i], r.octant[i]
+			bank.Encode(e, OccIndex(parent, octant), int(Reflect(occ[i], octant)))
 		}
 		out = e.AppendFinish(out)
 		arith.PutEncoder(e)
@@ -144,16 +124,16 @@ func AppendOcc(dst, occ []byte, depth int, feats Features, shards int, parallel 
 
 // DecodeOcc inverts AppendOcc, decoding exactly n occupancy codes of a
 // depth-level octree and charging nodes and context-table memory against b.
-// Shards decode sequentially regardless of any parallel option: the
-// context replay threads structural state from each shard into the next
-// (see DESIGN.md §15), unlike the order-0 sharded streams.
+// A header with any other feature byte or context count is corrupt. Shards
+// decode sequentially regardless of any parallel option: the context
+// replay threads structural state from each shard into the next (see
+// DESIGN.md §15), unlike the order-0 sharded streams.
 func DecodeOcc(data []byte, n, depth int, b *declimits.Budget) ([]byte, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: missing feature byte", ErrCorrupt)
 	}
-	feats := Features(data[0])
-	if feats&^FeatAll != 0 {
-		return nil, fmt.Errorf("%w: unknown context features %#x", ErrCorrupt, byte(feats))
+	if data[0] != occFeatures {
+		return nil, fmt.Errorf("%w: context features %#x, want %#x", ErrCorrupt, data[0], occFeatures)
 	}
 	data = data[1:]
 	nctx, used, err := varint.Uint(data)
@@ -161,35 +141,32 @@ func DecodeOcc(data []byte, n, depth int, b *declimits.Budget) ([]byte, error) {
 		return nil, fmt.Errorf("ctxmodel: context count: %w", err)
 	}
 	data = data[used:]
-	if nctx != uint64(feats.Contexts()) {
-		return nil, fmt.Errorf("%w: %d contexts declared, features imply %d", ErrCorrupt, nctx, feats.Contexts())
+	if nctx != OccContexts {
+		return nil, fmt.Errorf("%w: %d contexts declared, want %d", ErrCorrupt, nctx, OccContexts)
 	}
 	// +1 for the shared seeding model the bank always carries.
-	if err := b.Contexts(int64(nctx)+1, ModelBytes256); err != nil {
+	if err := b.Contexts(OccContexts+1, ModelBytes256); err != nil {
 		return nil, err
 	}
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	r := getReplay(n, depth, false)
+	r := getReplay(n, depth)
 	defer putReplay(r)
-	bank := GetBank(feats.Contexts(), 256)
+	bank := GetBank(OccContexts, 256)
 	defer PutBank(bank)
 	err = arith.DecodeSharded(data, n, b, false, func(_ int, shard []byte, lo, hi int) error {
 		bank.Reset()
 		d := arith.GetDecoder(shard)
 		defer arith.PutDecoder(d)
 		for i := lo; i < hi; i++ {
-			parent, octant, prev, drem := r.features(i, out)
-			sym, err := bank.Decode(d, feats.Index(parent, octant, prev, drem))
+			parent, octant := r.node(i)
+			sym, err := bank.Decode(d, OccIndex(parent, octant))
 			if err != nil {
 				return fmt.Errorf("ctxmodel: occupancy %d/%d: %w", i, n, err)
 			}
-			code := byte(sym)
-			if feats&FeatOctant != 0 {
-				code = Reflect(code, octant)
-			}
+			code := Reflect(byte(sym), octant)
 			out[i] = code
 			r.observe(code)
 		}

@@ -2,10 +2,16 @@ package octree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dbgc/internal/ctxmodel"
+	"dbgc/internal/geom"
 )
 
 // TestContextRoundTrip: the context-modeled occupancy dialect decodes to
@@ -24,39 +30,75 @@ func TestContextRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 4} {
-		for _, feats := range []ctxmodel.Features{0, ctxmodel.DefaultFeatures, ctxmodel.FeatAll} {
-			t.Run(fmt.Sprintf("shards=%d/feats=%#x", shards, byte(feats)), func(t *testing.T) {
-				opts := EncodeOptions{Shards: shards, Context: true, CtxFeatures: feats}
-				serial, err := EncodeWith(pc, q, opts)
+		t.Run(fmt.Sprintf("shards=%d/feats=0x3", shards), func(t *testing.T) {
+			opts := EncodeOptions{Shards: shards, Context: true}
+			serial, err := EncodeWith(pc, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Parallel = true
+			par, err := EncodeWith(pc, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serial.Data, par.Data) {
+				t.Fatal("parallel context encode differs from serial")
+			}
+			for _, pdec := range []bool{false, true} {
+				got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true, Parallel: pdec})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("decode (parallel=%v): %v", pdec, err)
 				}
-				opts.Parallel = true
-				par, err := EncodeWith(pc, q, opts)
-				if err != nil {
-					t.Fatal(err)
+				if len(got) != len(want) {
+					t.Fatalf("decoded %d points, want %d", len(got), len(want))
 				}
-				if !bytes.Equal(serial.Data, par.Data) {
-					t.Fatal("parallel context encode differs from serial")
-				}
-				for _, pdec := range []bool{false, true} {
-					got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true, Parallel: pdec})
-					if err != nil {
-						t.Fatalf("decode (parallel=%v): %v", pdec, err)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
 					}
-					if len(got) != len(want) {
-						t.Fatalf("decoded %d points, want %d", len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-						}
-					}
-					checkErrorBound(t, pc, got, serial.DecodedOrder, q)
 				}
-			})
-		}
+				checkErrorBound(t, pc, got, serial.DecodedOrder, q)
+			}
+		})
+		// The retired all-features scheme (feature byte 0x0f, 128
+		// contexts) no longer round-trips: its context-coded streams,
+		// written by the former encoder into the fuzz corpus, are corrupt.
+		t.Run(fmt.Sprintf("shards=%d/feats=0xf", shards), func(t *testing.T) {
+			name := "featall"
+			if shards > 1 {
+				name = "featall-sharded"
+			}
+			data := readCorpusBytes(t, filepath.Join("testdata", "fuzz", "FuzzContextOctree", name))
+			opts := DecodeOptions{Sharded: shards > 1, Context: true}
+			if _, err := DecodeWith(data, opts); !errors.Is(err, ctxmodel.ErrCorrupt) {
+				t.Fatalf("decode: err = %v, want ctxmodel.ErrCorrupt", err)
+			}
+			box := geom.AABB{Min: geom.Point{X: -1, Y: -1, Z: -1}, Max: geom.Point{X: 1, Y: 1, Z: 1}}
+			if _, err := DecodeRegionWith(data, box, opts); !errors.Is(err, ctxmodel.ErrCorrupt) {
+				t.Fatalf("region decode: err = %v, want ctxmodel.ErrCorrupt", err)
+			}
+		})
 	}
+}
+
+// readCorpusBytes returns the []byte value of a single-argument Go fuzz
+// corpus file.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-value fuzz corpus file", path)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }
 
 // TestContextGuard: a Context encode must never produce a larger occupancy

@@ -58,7 +58,10 @@ func FuzzDecode(f *testing.F) {
 // carries context-coded plain, sharded, and grouped streams plus variants
 // with truncated and garbled context-table headers (method marker, feature
 // byte, context-count varint); no mutation may panic or loop either the
-// plain or the grouped context decoder.
+// plain or the grouped context decoder. Streams of the retired
+// all-features occupancy scheme (feature byte 0x0f, 128 contexts), which
+// the encoder can no longer produce and the decoder rejects, live in
+// testdata/fuzz/FuzzContextOctree.
 func FuzzContextOctree(f *testing.F) {
 	pc := geom.PointCloud{{X: 1, Y: 2, Z: 3}, {X: 1.1, Y: 2, Z: 3}, {X: -4, Y: 0, Z: 1}, {X: 0.5, Y: -2, Z: 0}}
 	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true})

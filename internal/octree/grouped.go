@@ -108,12 +108,11 @@ func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, er
 // node's octant within parent, and symbols are reflected by the octant so
 // mirror-image configurations share statistics.
 func appendGroupCtx(codes []byte, octants []uint8, parent byte) []byte {
-	feats := ctxmodel.DefaultFeatures
-	bank := ctxmodel.GetBank(feats.Contexts(), 256)
+	bank := ctxmodel.GetBank(ctxmodel.OccContexts, 256)
 	e := arith.GetEncoder()
 	for i, code := range codes {
 		oct := octants[i]
-		bank.Encode(e, feats.Index(parent, oct, 0, 0), int(ctxmodel.Reflect(code, oct)))
+		bank.Encode(e, ctxmodel.OccIndex(parent, oct), int(ctxmodel.Reflect(code, oct)))
 	}
 	out := e.AppendFinish(nil)
 	arith.PutEncoder(e)
@@ -278,7 +277,6 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 			ctxmodel.PutBank(g.bank)
 		}
 	}()
-	feats := ctxmodel.DefaultFeatures
 	for {
 		p, used, err := varint.Uint(data)
 		if err != nil {
@@ -300,13 +298,13 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 			return nil, fmt.Errorf("%w: group of %d codes exceeds code total %d", ErrCorrupt, cnt, total)
 		}
 		if ctx {
-			if err := b.Contexts(int64(feats.Contexts())+1, ctxmodel.ModelBytes256); err != nil {
+			if err := b.Contexts(ctxmodel.OccContexts+1, ctxmodel.ModelBytes256); err != nil {
 				return nil, err
 			}
 			if err := b.Nodes(int64(cnt)); err != nil {
 				return nil, err
 			}
-			groups[p] = &group{dec: arith.GetDecoder(payload), bank: ctxmodel.GetBank(feats.Contexts(), 256), parent: byte(p), left: cnt}
+			groups[p] = &group{dec: arith.GetDecoder(payload), bank: ctxmodel.GetBank(ctxmodel.OccContexts, 256), parent: byte(p), left: cnt}
 			continue
 		}
 		codes, err := decompressOccupancy(payload, cnt, b)
@@ -352,7 +350,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 				if g.left <= 0 {
 					return nil, fmt.Errorf("%w: group %d exhausted", ErrCorrupt, cl.parentCode)
 				}
-				sym, err := g.bank.Decode(g.dec, feats.Index(g.parent, cl.octant, 0, 0))
+				sym, err := g.bank.Decode(g.dec, ctxmodel.OccIndex(g.parent, cl.octant))
 				if err != nil {
 					return nil, fmt.Errorf("octree: group %d: %w", cl.parentCode, err)
 				}

@@ -103,10 +103,6 @@ type EncodeOptions struct {
 	// loses, the marker is followed by the exact legacy bytes. The
 	// produced stream requires DecodeWith with Context set.
 	Context bool
-	// CtxFeatures selects the occupancy context features when Context is
-	// set; zero means ctxmodel.DefaultFeatures. It exists for the benchkit
-	// ablation.
-	CtxFeatures ctxmodel.Features
 }
 
 // Occupancy method markers of the Context (v5) dialect.
@@ -114,14 +110,6 @@ const (
 	occMethodLegacy = 0 // the v2/v3/v4 occupancy bytes, unchanged
 	occMethodCtx    = 1 // the ctxmodel context-coded stream
 )
-
-// ctxFeatures resolves the effective feature set of a Context encode.
-func (o EncodeOptions) ctxFeatures() ctxmodel.Features {
-	if o.CtxFeatures != 0 {
-		return o.CtxFeatures
-	}
-	return ctxmodel.DefaultFeatures
-}
 
 // Encode compresses points so that every reconstructed coordinate differs
 // from the original by at most q per dimension. An empty input encodes to a
@@ -181,7 +169,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		// of the context-modeled and legacy codings wins. Ties go to
 		// legacy, so guarded output degenerates to exactly the v2/v3 bytes
 		// plus one marker.
-		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.ctxFeatures(), opts.Shards, opts.Parallel)
+		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.Shards, opts.Parallel)
 		if len(ctx) < len(legacy)+1 {
 			ctx[0] = occMethodCtx
 			return ctx
@@ -219,30 +207,6 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	buildPool.Put(scratch)
 	enc.Data = out
 	return enc, nil
-}
-
-// CollectOccupancy builds the octree for points at error bound q and
-// returns the breadth-first occupancy code sequence and the tree depth
-// without entropy coding. It exists for the benchkit ctx ablation, which
-// compares context schemes on the real occupancy stream of a frame.
-func CollectOccupancy(points geom.PointCloud, q float64) ([]byte, int, error) {
-	if q <= 0 {
-		return nil, 0, fmt.Errorf("octree: error bound must be positive, got %v", q)
-	}
-	if len(points) == 0 {
-		return nil, 0, nil
-	}
-	cube := geom.Bounds(points).Cube()
-	depth := depthFor(cube.MaxDim(), q)
-	side := 2 * q * math.Pow(2, float64(depth))
-	if side < cube.MaxDim() {
-		side = cube.MaxDim()
-	}
-	scratch := buildPool.Get().(*buildScratch)
-	occ, _, _ := buildAndSerialize(scratch, points, cube.Min, side, depth, false)
-	out := append([]byte(nil), occ...)
-	buildPool.Put(scratch)
-	return out, depth, nil
 }
 
 // depthFor returns the number of subdivision levels needed for leaf side
