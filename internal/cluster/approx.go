@@ -16,14 +16,13 @@ import (
 // cells with a dense surrounding cell are then dilated into the dense set,
 // and every point in a dense cell becomes a dense point.
 //
-// The pipeline is sort-based: point keys are radix-sorted once, giving the
+// The pipeline sorts once: point keys are radix-sorted, giving the
 // occupied cells, their populations, and the point runs for the final
-// labeling in a single pass; window populations and the dilation test are
-// then monotone range sweeps over sorted key arrays (see window.go). The
-// previous hash-probe formulation spent over half of total compression
-// time in map lookups; the sweeps replace every probe with sequential
-// array traversal. With Params.Parallel the key construction, sweeps, and
-// labeling shard across CPUs with identical results.
+// labeling in a single pass. Window populations and the dilation test are
+// then separable box sums over the sorted cell keys (see window.go), linear
+// in the occupied cells with no further sorting or hashing. With
+// Params.Parallel the key construction and box sums shard across CPUs with
+// identical results.
 //
 // Cells are addressed by packed 21-bit-per-axis integer keys; LiDAR scenes
 // span thousands of cells per axis, far below the 2^21 limit.

@@ -23,11 +23,10 @@ import (
 // cheap per-cell population bound skips the neighbor count entirely for
 // points whose whole ε-window cannot reach minPts, and the border sweep
 // only examines occupied cells whose window actually contains a dense
-// cell. Window populations and the dense-cell prefilter come from the
-// sorted-key sweeps in window.go instead of hash probes, and with
-// Params.Parallel the per-cell scans of passes 1 and 3 shard across CPUs
-// (each cell's writes touch only its own points, so the shards are
-// independent and the result identical).
+// cell. Window populations and the dense-cell prefilter are the separable
+// box sums of window.go, and with Params.Parallel the per-cell scans of
+// passes 1 and 3 shard across CPUs (each cell's writes touch only its own
+// points, so the shards are independent and the result identical).
 func CellBased(pc geom.PointCloud, p Params) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
